@@ -5,7 +5,7 @@
 //! Plain self-timed harness (no external bench framework): run with
 //! `cargo bench -p soc-bench --bench solver_perf`.
 
-use soc_dse::platform::Platform;
+use soc_backend::Platform;
 use std::hint::black_box;
 use std::time::Instant;
 use tinympc::{problems, AdmmSolver, NullExecutor, SolverSettings};

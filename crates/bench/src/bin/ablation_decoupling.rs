@@ -3,9 +3,9 @@
 //! hide latency through command queues; this ablation sweeps those
 //! depths to show how much decoupling the MPC workload actually needs.
 
+use soc_backend::{Backend, Platform};
 use soc_cpu::CoreConfig;
 use soc_dse::experiments::solve_cycles;
-use soc_dse::platform::{Backend, Platform};
 use soc_dse::report::markdown_table;
 use soc_gemmini::{GemminiConfig, GemminiOpts};
 use soc_vector::{SaturnConfig, VectorStyle};

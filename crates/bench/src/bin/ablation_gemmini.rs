@@ -2,9 +2,9 @@
 //! (Section V-B): starting from the fully optimized mapping, disable one
 //! optimization at a time and report the end-to-end TinyMPC cost.
 
+use soc_backend::Platform;
 use soc_cpu::CoreConfig;
 use soc_dse::experiments::solve_cycles;
-use soc_dse::platform::Platform;
 use soc_dse::report::markdown_table;
 use soc_gemmini::{GemminiConfig, GemminiOpts, IsaStyle};
 

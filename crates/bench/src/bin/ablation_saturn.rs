@@ -2,9 +2,9 @@
 //! (Section V-A): mapping style, LMUL policy, and the rejected
 //! serial-reduction GEMV mapping.
 
+use soc_backend::Platform;
 use soc_cpu::{simulate_with_accel, CoreConfig};
 use soc_dse::experiments::solve_cycles;
-use soc_dse::platform::Platform;
 use soc_dse::report::markdown_table;
 use soc_isa::TraceBuilder;
 use soc_vector::{SaturnConfig, SaturnUnit, VectorKernels, VectorStyle};

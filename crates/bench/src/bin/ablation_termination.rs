@@ -3,8 +3,8 @@
 //! with most; checking them less often trades reduction work against
 //! extra ADMM iterations.
 
+use soc_backend::Platform;
 use soc_dse::experiments::solve_cycles_with;
-use soc_dse::platform::Platform;
 use soc_dse::report::markdown_table;
 use tinympc::{KernelClass, KernelId, SolverSettings};
 

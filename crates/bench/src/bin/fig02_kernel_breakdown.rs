@@ -2,8 +2,8 @@
 //! invocation counts, FLOPs, and the share of Rocket cycles per ADMM
 //! iteration, grouped by the paper's three kernel classes.
 
+use soc_backend::Platform;
 use soc_dse::experiments::kernel_breakdown;
-use soc_dse::platform::Platform;
 use soc_dse::report::{bar_chart, markdown_table};
 use tinympc::{KernelClass, KernelId, KernelProfile, ProblemDims};
 

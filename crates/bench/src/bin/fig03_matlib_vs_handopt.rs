@@ -3,9 +3,9 @@
 //! matlib but loses to optimized scalar Eigen, motivating the fused
 //! hand-optimized vector mapping.
 
+use soc_backend::Platform;
 use soc_cpu::CoreConfig;
 use soc_dse::experiments::solve_cycles;
-use soc_dse::platform::Platform;
 use soc_dse::report::markdown_table;
 use soc_vector::{SaturnConfig, VectorStyle};
 

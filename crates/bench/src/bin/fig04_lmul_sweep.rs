@@ -2,9 +2,9 @@
 //! 512V/256D Saturn — register grouping helps strip-mining kernels but
 //! hurts the short-vector iterative kernels.
 
+use soc_backend::Platform;
 use soc_cpu::CoreConfig;
 use soc_dse::experiments::kernel_speedups;
-use soc_dse::platform::Platform;
 use soc_dse::report::markdown_table;
 use soc_vector::{SaturnConfig, VectorStyle};
 use tinympc::{KernelClass, KernelId};

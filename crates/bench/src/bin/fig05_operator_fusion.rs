@@ -3,9 +3,9 @@
 //! registers across operator boundaries removes the store/reload
 //! round-trips of matlib function calls.
 
+use soc_backend::Platform;
 use soc_cpu::CoreConfig;
 use soc_dse::experiments::{kernel_breakdown, solve_cycles};
-use soc_dse::platform::Platform;
 use soc_dse::report::markdown_table;
 use soc_vector::{SaturnConfig, VectorStyle};
 use tinympc::KernelId;

@@ -3,9 +3,9 @@
 //! mapping, Rocket-driven). The paper reports ~6x average from restoring
 //! full PE utilization.
 
+use soc_backend::Platform;
 use soc_cpu::CoreConfig;
 use soc_dse::experiments::{speedup_heatmap, KernelShape, Residency};
-use soc_dse::platform::Platform;
 use soc_dse::report::heatmap_text;
 use soc_dse::workloads::{heatmap_heights, heatmap_widths};
 use soc_gemmini::{GemminiConfig, GemminiOpts};

@@ -4,9 +4,9 @@
 //! reports ~2.78x average — the original mesh uses only one PE column
 //! for GEMV.
 
+use soc_backend::Platform;
 use soc_cpu::CoreConfig;
 use soc_dse::experiments::{speedup_heatmap, KernelShape, Residency};
-use soc_dse::platform::Platform;
 use soc_dse::report::heatmap_text;
 use soc_dse::workloads::{heatmap_heights, heatmap_widths};
 use soc_gemmini::{GemminiConfig, GemminiOpts};

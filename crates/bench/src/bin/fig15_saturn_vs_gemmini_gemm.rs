@@ -4,9 +4,9 @@
 //! because Rocket must issue every short-vector instruction to Saturn
 //! explicitly.
 
+use soc_backend::Platform;
 use soc_cpu::CoreConfig;
 use soc_dse::experiments::{speedup_heatmap, KernelShape, Residency};
-use soc_dse::platform::Platform;
 use soc_dse::report::heatmap_text;
 use soc_dse::workloads::{heatmap_heights, heatmap_widths};
 use soc_gemmini::{GemminiConfig, GemminiOpts};

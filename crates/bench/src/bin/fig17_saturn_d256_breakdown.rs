@@ -2,9 +2,9 @@
 //! (Rocket frontend) on end-to-end TinyMPC, as speedup over the Rocket
 //! scalar baseline.
 
+use soc_backend::Platform;
 use soc_cpu::CoreConfig;
 use soc_dse::experiments::{kernel_speedups, solve_cycles};
-use soc_dse::platform::Platform;
 use soc_dse::report::bar_chart;
 use soc_vector::SaturnConfig;
 

@@ -2,9 +2,9 @@
 //! Gemmini at equal PE count (V512D512 vs 4x4 FP mesh, both Rocket-
 //! driven), with per-kernel breakdown.
 
+use soc_backend::Platform;
 use soc_cpu::CoreConfig;
 use soc_dse::experiments::{kernel_breakdown, solve_cycles};
-use soc_dse::platform::Platform;
 use soc_dse::report::markdown_table;
 use soc_gemmini::{GemminiConfig, GemminiOpts};
 use soc_vector::SaturnConfig;

@@ -4,9 +4,9 @@
 //! as the GEMV support presented in this work" should be considered for
 //! end-to-end evaluation), plus an 8x8 mesh point.
 
+use soc_backend::Platform;
 use soc_cpu::CoreConfig;
 use soc_dse::experiments::solve_cycles;
-use soc_dse::platform::Platform;
 use soc_dse::report::markdown_table;
 use soc_gemmini::{GemminiConfig, GemminiOpts};
 

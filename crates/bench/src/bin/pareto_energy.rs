@@ -2,9 +2,9 @@
 //! redone in energy terms (nJ per MPC solve and solves per millijoule) —
 //! quantifying the introduction's qualitative efficiency claims.
 
+use soc_backend::Platform;
 use soc_dse::energy::{solve_energy, EnergyParams};
 use soc_dse::experiments::pareto_frontier;
-use soc_dse::platform::Platform;
 use soc_dse::report::markdown_table;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

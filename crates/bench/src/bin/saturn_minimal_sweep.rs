@@ -7,9 +7,9 @@
 //! frontends and reports whether any minimal point undercuts Rocket's
 //! area while beating its performance.
 
+use soc_backend::Platform;
 use soc_cpu::CoreConfig;
 use soc_dse::experiments::solve_cycles;
-use soc_dse::platform::Platform;
 use soc_dse::report::markdown_table;
 use soc_vector::SaturnConfig;
 

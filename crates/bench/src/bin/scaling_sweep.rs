@@ -3,8 +3,8 @@
 //! Riccati cache computation — the TinyMPC memory/compute trade the paper
 //! describes.
 
+use soc_backend::Platform;
 use soc_dse::experiments::solve_cycles;
-use soc_dse::platform::Platform;
 use soc_dse::report::markdown_table;
 use std::time::Instant;
 use tinympc::{problems, AdmmSolver, ProblemDims, SolverSettings};

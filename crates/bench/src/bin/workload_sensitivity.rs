@@ -3,8 +3,8 @@
 //! robots of very different state/input dimensions on every platform and
 //! watch the best-performance-per-area design point move.
 
+use soc_backend::Platform;
 use soc_dse::experiments::solve_problem_cycles;
-use soc_dse::platform::Platform;
 use soc_dse::report::markdown_table;
 use tinympc::{problems, SolverSettings, TinyMpcProblem};
 

@@ -479,9 +479,9 @@ pub fn steady_bounds(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use matlib::rng::SplitMix64;
     use soc_backend::steady_cost;
     use soc_cpu::{simulate_with_accel, Accelerator, NullAccelerator};
-    use soc_dse::rng::SplitMix64;
     use soc_gemmini::{GemminiConfig, GemminiUnit};
     use soc_isa::{OpClass, RoccCmd, TraceBuilder, VecOpKind, VectorSpec};
     use soc_vector::{SaturnConfig, SaturnUnit};

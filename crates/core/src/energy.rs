@@ -13,8 +13,8 @@
 //! at a fraction of the area — is the robust output.
 
 use crate::experiments::solve_cycles;
-use crate::platform::Platform;
 use soc_backend::pipeline_for;
+use soc_backend::Platform;
 use soc_isa::{Payload, RoccCmd, TraceStats};
 use tinympc::KernelId;
 

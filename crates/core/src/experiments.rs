@@ -9,8 +9,8 @@
 //! crate provides a parallel, memoized implementation that must remain
 //! bit-identical to it.
 
-use crate::platform::Platform;
 use soc_backend::pipeline_for;
+use soc_backend::Platform;
 use std::collections::BTreeMap;
 use tinympc::{AdmmSolver, KernelId, NullObserver, SolveResult, SolverSettings};
 

@@ -14,15 +14,13 @@
 //! Back-end dispatch lives in the `soc-backend` crate: each family is a
 //! [`soc_backend::BackendPipeline`] instance and
 //! [`soc_backend::pipeline_for`] is the single point where a platform's
-//! backend description resolves to behavior. This crate consumes that
-//! seam:
+//! backend description resolves to behavior, and the configuration
+//! registry (every Table I design point) is [`soc_backend::Platform`].
+//! This crate consumes that seam:
 //!
-//! * [`platform`] — the configuration registry (every Table I design
-//!   point) and area/performance plumbing, re-exported from
-//!   `soc-backend`.
 //! * [`experiments`] — runnable reproductions of each table and figure.
-//! * [`workloads`] — random kernel-size generators and closed-loop
-//!   reference trajectories.
+//! * [`workloads`] — random kernel-size generators for the heatmap
+//!   sweeps.
 //! * [`energy`] — a first-order energy model (an extension beyond the
 //!   paper's published data; see its module docs).
 //! * [`verify`] — sweeps the `soc-verify` static analyzer over every
@@ -32,7 +30,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use soc_dse::platform::Platform;
+//! use soc_backend::Platform;
 //! use soc_dse::experiments::solve_cycles;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -49,8 +47,6 @@
 
 pub mod energy;
 pub mod experiments;
-pub mod platform;
 pub mod report;
-pub mod rng;
 pub mod verify;
 pub mod workloads;

@@ -8,8 +8,8 @@
 //! release-build integration tests, which want the full [`Report`]s
 //! rather than a panic on first error.
 
-use crate::platform::Platform;
 use soc_backend::pipeline_for;
+use soc_backend::Platform;
 use soc_cpu::CoreConfig;
 use soc_gemmini::{GemminiConfig, GemminiOpts, IsaStyle};
 use soc_vector::{SaturnConfig, VectorStyle};

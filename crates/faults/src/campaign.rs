@@ -21,13 +21,13 @@ use crate::deadline::{DeadlineConfig, DeadlineSolver, DegradeRung};
 use crate::inject::{DataInjector, FaultyExecutor, TraceFaultOutcome};
 use crate::plan::{Fault, FaultKind, FaultPlan, FaultSite};
 use crate::riscv::{run_instruction_campaign, InstructionStats};
+use matlib::rng::SplitMix64;
 use matlib::Vector;
+use soc_backend::Platform;
 use soc_backend::{pipeline_for, FaultSurface, PipelineExecutor};
 use soc_dse::experiments::Scenario;
-use soc_dse::platform::Platform;
 use soc_dse::report::markdown_table;
-use soc_dse::rng::SplitMix64;
-use tinympc::{AdmmSolver, NullExecutor, SolverSettings, TerminationCause};
+use tinympc::{AdmmSolver, NullExecutor, NullObserver, SolverSettings, TerminationCause};
 
 /// Campaign size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -286,7 +286,7 @@ pub fn run_campaign_scenario(
                 // the static verifier gets first shot at it.
                 let mut faulty =
                     FaultyExecutor::new(PipelineExecutor::for_platform(&platform), *fault);
-                let o = d.solve(&x0, &mut faulty);
+                let o = d.solve(&x0, &mut faulty, &mut NullObserver);
                 if faulty.outcome == TraceFaultOutcome::Undetected {
                     // The stream verified clean but the command is still
                     // wrong: model its architectural effect as the
@@ -299,7 +299,7 @@ pub fn run_campaign_scenario(
                         ..*fault
                     };
                     d = DeadlineSolver::new(proto.clone(), config);
-                    d.solve_observed(
+                    d.solve(
                         &x0,
                         &mut PipelineExecutor::for_platform(&platform),
                         &mut DataInjector::new(equivalent),
@@ -308,7 +308,7 @@ pub fn run_campaign_scenario(
                     o
                 }
             } else {
-                d.solve_observed(
+                d.solve(
                     &x0,
                     &mut PipelineExecutor::for_platform(&platform),
                     &mut DataInjector::new(*fault),
@@ -421,7 +421,7 @@ mod tests {
             Vector::from_slice(reference.u0())
         };
         let mut d = DeadlineSolver::new(proto, DeadlineConfig::new(u64::MAX));
-        let o = d.solve(&x0, &mut NullExecutor);
+        let o = d.solve(&x0, &mut NullExecutor, &mut NullObserver);
         assert_eq!(o.rung, DegradeRung::Nominal);
         assert!(f64::from(o.u0.max_abs_diff(&u_ref).unwrap()) < 1e-6);
     }

@@ -30,10 +30,10 @@
 //! seeds produce identical reports for any thread count.
 
 use crate::campaign::{run_campaign, CampaignKind};
+use matlib::rng::SplitMix64;
+use soc_backend::Platform;
 use soc_dse::experiments::{KernelRequest, KernelShape, Residency, SolveRequest};
-use soc_dse::platform::Platform;
 use soc_dse::report::markdown_table;
-use soc_dse::rng::SplitMix64;
 use soc_sweep::{run_sweep, ChaosAction, ChaosCtx, ChaosHook, RetryPolicy, SweepEngine, SweepSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;

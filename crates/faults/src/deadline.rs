@@ -22,8 +22,7 @@
 //! infallible: it always returns a finite, feasible `u0`.
 
 use matlib::{Scalar, Vector};
-use soc_backend::PipelineExecutor;
-use soc_dse::platform::Platform;
+use soc_backend::{PipelineExecutor, Platform};
 use tinympc::{
     AdmmSolver, KernelExecutor, KernelId, NullObserver, SolveObserver, SolverSettings,
     TerminationCause, TinyMpcCache,
@@ -132,25 +131,6 @@ pub struct SolveOutcome<T> {
     /// Whether the bounded retry (workspace reset + scalar fallback
     /// timing) ran.
     pub retried: bool,
-    /// Description of the detected fault that forced recovery, if any.
-    pub fault: Option<String>,
-}
-
-/// Per-solve cost prediction probed from an executor.
-struct CostModel {
-    setup: u64,
-    init: u64,
-    iter: u64,
-    check: u64,
-}
-
-impl CostModel {
-    /// Cost of a full solve with a residual check every `1/interval`
-    /// iterations.
-    fn solve_cost(&self, iterations: usize, interval: usize) -> u64 {
-        let checks = iterations.div_ceil(interval.max(1)) as u64;
-        self.setup + self.init + self.iter * iterations as u64 + self.check * checks
-    }
 }
 
 /// Predicted per-solve cycle cost of each ladder rung, probed once from
@@ -224,6 +204,20 @@ pub struct RungStatus {
     /// restore and the LQR fallback — the caller must fetch `u0` via
     /// [`DeadlineSolver::lqr_u0_into`].
     pub fell_back: bool,
+}
+
+impl RungStatus {
+    /// The LQR rung's status: no iteration ran, no cycles charged.
+    fn lqr(fell_back: bool) -> RungStatus {
+        RungStatus {
+            rung: DegradeRung::LqrFallback,
+            termination: TerminationCause::Deadline,
+            iterations: 0,
+            total_cycles: 0,
+            converged: false,
+            fell_back,
+        }
+    }
 }
 
 /// [`AdmmSolver`] wrapped with a cycle budget, the degradation ladder
@@ -300,9 +294,15 @@ impl<T: Scalar> DeadlineSolver<T> {
         self.solver.cold_start();
     }
 
-    /// Probes per-kernel costs and mirrors the solver's exact charge
-    /// schedule (see `cycle_accounting_is_exact` in `tinympc`).
-    fn probe(&mut self, executor: &mut dyn KernelExecutor) -> tinympc::Result<CostModel> {
+    /// Probes the executor and predicts the per-solve cycle cost of
+    /// every ladder rung (see [`RungCosts`]), mirroring the solver's
+    /// exact charge schedule (see `cycle_accounting_is_exact` in
+    /// `tinympc`). Pure pricing: no solve runs, no solver state changes.
+    ///
+    /// # Errors
+    ///
+    /// Propagates executor pricing failures (e.g. a rejected trace).
+    pub fn rung_costs(&mut self, executor: &mut dyn KernelExecutor) -> tinympc::Result<RungCosts> {
         let dims = self.solver.dims();
         let n = dims.horizon as u64;
         let mut cost = |k: KernelId| executor.kernel_cycles(k, &dims);
@@ -324,43 +324,19 @@ impl<T: Scalar> DeadlineSolver<T> {
             + cost(DualResidualState)?
             + cost(PrimalResidualInput)?
             + cost(DualResidualInput)?;
-        Ok(CostModel {
-            setup: executor.setup_cycles(&dims)?,
-            init: lc,
-            iter,
-            check,
-        })
-    }
-
-    /// Converts the probed kernel costs into per-rung solve costs using
-    /// this solver's ladder parameters.
-    fn rung_costs_from(&self, c: &CostModel) -> RungCosts {
+        let fixed = executor.setup_cycles(&dims)? + lc;
+        // A full solve with a residual check every `interval` iterations.
+        let solve = |iterations: usize, interval: usize| {
+            let checks = iterations.div_ceil(interval.max(1)) as u64;
+            fixed + iter * iterations as u64 + check * checks
+        };
         let e = self.config.expected_iterations.max(1);
-        let w = self.config.widen_factor.max(1);
-        RungCosts {
-            nominal: c.solve_cost(e, self.base.check_interval),
-            widened: c.solve_cost(e, w),
-            early_exit: c.solve_cost(1, 1),
+        Ok(RungCosts {
+            nominal: solve(e, self.base.check_interval),
+            widened: solve(e, self.config.widen_factor.max(1)),
+            early_exit: solve(1, 1),
             lqr: 0,
-        }
-    }
-
-    /// Probes the executor and predicts the per-solve cycle cost of
-    /// every ladder rung (see [`RungCosts`]). Pure pricing: no solve
-    /// runs, no solver state changes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates executor pricing failures (e.g. a rejected trace).
-    pub fn rung_costs(&mut self, executor: &mut dyn KernelExecutor) -> tinympc::Result<RungCosts> {
-        let c = self.probe(executor)?;
-        Ok(self.rung_costs_from(&c))
-    }
-
-    /// Picks the mildest rung whose predicted cost fits the budget.
-    fn select_rung(&self, c: &CostModel) -> DegradeRung {
-        self.rung_costs_from(c)
-            .mildest_within(self.config.cycle_budget)
+        })
     }
 
     /// Settings for a rung: the budget is always installed as a hard
@@ -374,17 +350,10 @@ impl<T: Scalar> DeadlineSolver<T> {
         s
     }
 
-    /// The ladder's last rung: `u = clip(−K∞ x0)` from the pristine
-    /// cache. Structurally finite — `clip` squashes NaN to a bound.
-    fn lqr_u0(&self, x0: &Vector<T>) -> Vector<T> {
-        let p = self.solver.problem();
-        let nu = p.b.cols();
-        self.pristine_cache
-            .kinf
-            .matvec(x0)
-            .map(|u| u.neg())
-            .unwrap_or_else(|_| Vector::zeros(nu))
-            .clip(p.u_min, p.u_max)
+    /// Whether `x0` is a finite state of the plant's dimension — the
+    /// only input an ADMM rung may run on.
+    fn accepts(&self, x0: &[T]) -> bool {
+        x0.len() == self.solver.dims().nx && x0.iter().all(|v| v.is_finite())
     }
 
     /// Allocation-free LQR fallback: writes `clip(−K∞ x0)` from the
@@ -400,62 +369,67 @@ impl<T: Scalar> DeadlineSolver<T> {
         matlib::clamp_in_place(out, p.u_min, p.u_max);
     }
 
-    fn lqr_outcome(&self, x0: &Vector<T>, retried: bool, fault: Option<String>) -> SolveOutcome<T> {
-        SolveOutcome {
-            u0: self.lqr_u0(x0),
-            rung: DegradeRung::LqrFallback,
-            termination: TerminationCause::Deadline,
-            iterations: 0,
-            total_cycles: 0,
-            retried,
-            fault,
-        }
-    }
-
     /// Solves within the budget, degrading and recovering as needed.
     /// Never fails and never returns a non-finite or out-of-box `u0`.
-    pub fn solve(&mut self, x0: &Vector<T>, executor: &mut dyn KernelExecutor) -> SolveOutcome<T> {
-        self.solve_observed(x0, executor, &mut NullObserver)
-    }
-
-    /// [`solve`](Self::solve) with an observer hook on the primary
-    /// attempt (the recovery retry never re-injects).
-    pub fn solve_observed(
+    ///
+    /// Prices the ladder on `executor` and runs the mildest rung that
+    /// fits the budget through
+    /// [`solve_in_place_at_rung`](Self::solve_in_place_at_rung). A fault
+    /// fallback on a valid `x0` (rejected trace, solver error, detected
+    /// divergence) triggers one bounded retry: pristine cache restored,
+    /// timing on the scalar reference back-end, and no `observer` (the
+    /// retry never re-injects). A second failure lands on the LQR rung.
+    pub fn solve(
         &mut self,
         x0: &Vector<T>,
         executor: &mut dyn KernelExecutor,
         observer: &mut dyn SolveObserver<T>,
     ) -> SolveOutcome<T> {
-        if !x0.is_finite() || x0.len() != self.solver.dims().nx {
-            // Garbage in: the LQR rung is the only safe answer (matvec
-            // on a non-finite state is rejected by the math layer).
-            return self.lqr_outcome(x0, false, Some("non-finite or misshapen x0".into()));
+        let x0 = x0.as_slice();
+        let mut status = self.solve_within_budget(x0, executor, observer);
+        let retried = status.fell_back && self.accepts(x0);
+        if retried {
+            self.restore();
+            let mut reference = PipelineExecutor::for_platform(&Platform::rocket_eigen());
+            status = self.solve_within_budget(x0, &mut reference, &mut NullObserver);
         }
-        let rung = match self.probe(executor) {
-            Ok(c) => self.select_rung(&c),
-            // The back-end rejected a trace before any iteration ran.
-            Err(e) => return self.recover(x0, e.to_string()),
-        };
-        if rung == DegradeRung::LqrFallback {
-            return self.lqr_outcome(x0, false, None);
+        let p = self.solver.problem();
+        let mut u0 = Vector::from_slice(self.solver.u0());
+        matlib::clamp_in_place(u0.as_mut_slice(), p.u_min, p.u_max);
+        if status.rung == DegradeRung::LqrFallback || !u0.is_finite() {
+            self.lqr_u0_into(x0, u0.as_mut_slice());
         }
-        self.solver.set_settings(self.settings_for(rung));
-        match self
-            .solver
-            .solve_in_place_observed(x0.as_slice(), executor, observer)
-        {
-            Ok(r) if r.termination != TerminationCause::Diverged => {
-                self.finish(x0, r, rung, false, None)
-            }
-            Ok(r) => self.recover(
-                x0,
-                format!("divergent iterates (residuals {:?})", r.residuals),
-            ),
-            Err(e) => self.recover(x0, e.to_string()),
+        SolveOutcome {
+            u0,
+            rung: status.rung,
+            termination: status.termination,
+            iterations: status.iterations,
+            total_cycles: status.total_cycles,
+            retried,
         }
     }
 
-    /// Solves at an externally chosen ladder rung, allocation-free.
+    /// One pass of [`solve`](Self::solve): the mildest rung whose
+    /// predicted cost on `executor` fits the budget. A pricing failure
+    /// means the back-end rejected a trace before any iteration ran —
+    /// a fault fallback.
+    fn solve_within_budget(
+        &mut self,
+        x0: &[T],
+        executor: &mut dyn KernelExecutor,
+        observer: &mut dyn SolveObserver<T>,
+    ) -> RungStatus {
+        match self.rung_costs(executor) {
+            Ok(c) => {
+                let rung = c.mildest_within(self.config.cycle_budget);
+                self.solve_in_place_at_rung(x0, executor, rung, observer)
+            }
+            Err(_) => RungStatus::lqr(true),
+        }
+    }
+
+    /// Solves at an externally chosen ladder rung, allocation-free —
+    /// the one place a rung executes.
     ///
     /// This is the ladder's policy seam turned inside out: where
     /// [`solve`](Self::solve) probes costs and picks its own rung per
@@ -465,7 +439,8 @@ impl<T: Scalar> DeadlineSolver<T> {
     /// control stays staged in the solver arena (read it via
     /// `solver().u0()`); on [`DegradeRung::LqrFallback`] — requested or
     /// reached via fault fallback (`fell_back`) — fetch it with
-    /// [`lqr_u0_into`](Self::lqr_u0_into) instead.
+    /// [`lqr_u0_into`](Self::lqr_u0_into) instead. `observer` runs
+    /// between ADMM iterations (fault injection, instrumentation).
     ///
     /// Infallible like `solve`: any solver error or detected divergence
     /// restores the pristine cache and reports the LQR rung. A warm
@@ -476,26 +451,18 @@ impl<T: Scalar> DeadlineSolver<T> {
         x0: &[T],
         executor: &mut dyn KernelExecutor,
         rung: DegradeRung,
+        observer: &mut dyn SolveObserver<T>,
     ) -> RungStatus {
-        let lqr = |fell_back: bool| RungStatus {
-            rung: DegradeRung::LqrFallback,
-            termination: TerminationCause::Deadline,
-            iterations: 0,
-            total_cycles: 0,
-            converged: false,
-            fell_back,
-        };
         if rung == DegradeRung::LqrFallback {
-            return lqr(false);
+            return RungStatus::lqr(false);
         }
-        if x0.len() != self.solver.dims().nx || x0.iter().any(|v| !v.is_finite()) {
-            return lqr(true);
+        if !self.accepts(x0) {
+            return RungStatus::lqr(true);
         }
         self.solver.set_settings(self.settings_for(rung));
-        match self.solver.solve_in_place(x0, executor) {
+        match self.solver.solve_in_place_observed(x0, executor, observer) {
             Ok(r) if r.termination != TerminationCause::Diverged => RungStatus {
-                // Downgrade the label when the budget tripped mid-solve,
-                // mirroring `finish`.
+                // Downgrade the label when the budget tripped mid-solve.
                 rung: if r.termination == TerminationCause::Deadline {
                     rung.max(DegradeRung::EarlyExit)
                 } else {
@@ -507,69 +474,13 @@ impl<T: Scalar> DeadlineSolver<T> {
                 converged: r.converged,
                 fell_back: false,
             },
-            // Fault path: restore the pristine cache and hand the tick
-            // to the LQR rung (the cohort policy, not a retry loop,
-            // decides what happens next tick).
+            // Fault path: restore the pristine cache and hand the solve
+            // to the LQR rung (the caller's policy decides what happens
+            // next).
             _ => {
                 self.restore();
-                lqr(true)
+                RungStatus::lqr(true)
             }
-        }
-    }
-
-    /// The bounded retry: reset state, restore the pristine cache, and
-    /// re-solve with scalar reference timing. A second failure falls
-    /// through to the LQR rung.
-    fn recover(&mut self, x0: &Vector<T>, fault: String) -> SolveOutcome<T> {
-        self.restore();
-        let mut fallback = PipelineExecutor::for_platform(&Platform::rocket_eigen());
-        let rung = match self.probe(&mut fallback) {
-            Ok(c) => self.select_rung(&c),
-            Err(_) => return self.lqr_outcome(x0, true, Some(fault)),
-        };
-        if rung == DegradeRung::LqrFallback {
-            return self.lqr_outcome(x0, true, Some(fault));
-        }
-        self.solver.set_settings(self.settings_for(rung));
-        match self.solver.solve_in_place(x0.as_slice(), &mut fallback) {
-            Ok(r) if r.termination != TerminationCause::Diverged => {
-                self.finish(x0, r, rung, true, Some(fault))
-            }
-            _ => self.lqr_outcome(x0, true, Some(fault)),
-        }
-    }
-
-    /// Packages a successful solve, downgrading the rung label when the
-    /// budget tripped mid-solve and clamping `u0` defensively. The
-    /// applied control is read straight from the solver's arena — the
-    /// one allocation here is the outgoing `u0` vector itself.
-    fn finish(
-        &mut self,
-        x0: &Vector<T>,
-        r: tinympc::SolveStatus,
-        rung: DegradeRung,
-        retried: bool,
-        fault: Option<String>,
-    ) -> SolveOutcome<T> {
-        let rung = if r.termination == TerminationCause::Deadline {
-            rung.max(DegradeRung::EarlyExit)
-        } else {
-            rung
-        };
-        let p = self.solver.problem();
-        let mut u0 = Vector::from_slice(self.solver.u0());
-        matlib::clamp_in_place(u0.as_mut_slice(), p.u_min, p.u_max);
-        if !u0.is_finite() {
-            u0 = self.lqr_u0(x0);
-        }
-        SolveOutcome {
-            u0,
-            rung,
-            termination: r.termination,
-            iterations: r.iterations,
-            total_cycles: r.total_cycles,
-            retried,
-            fault,
         }
     }
 }
@@ -589,7 +500,7 @@ mod tests {
         let mut d = DeadlineSolver::new(solver(), DeadlineConfig::new(u64::MAX));
         let x0 = d.solver().problem().hover_offset_state(0.2);
         let mut e = PipelineExecutor::for_platform(&Platform::rocket_eigen());
-        let o = d.solve(&x0, &mut e);
+        let o = d.solve(&x0, &mut e, &mut NullObserver);
         assert_eq!(o.rung, DegradeRung::Nominal);
         assert_eq!(o.termination, TerminationCause::Converged);
         assert!(!o.retried);
@@ -600,13 +511,13 @@ mod tests {
     fn zero_budget_falls_back_to_lqr() {
         let mut d = DeadlineSolver::new(solver(), DeadlineConfig::new(1));
         let x0 = d.solver().problem().hover_offset_state(0.4);
-        let o = d.solve(&x0, &mut NullExecutor);
+        let o = d.solve(&x0, &mut NullExecutor, &mut NullObserver);
         // NullExecutor charges nothing, so even budget 1 fits a full
         // solve; use a real executor for the pressure test below.
         assert!(o.u0.is_finite());
         let mut e = PipelineExecutor::for_platform(&Platform::rocket_eigen());
         let mut d = DeadlineSolver::new(solver(), DeadlineConfig::new(1));
-        let o = d.solve(&x0, &mut e);
+        let o = d.solve(&x0, &mut e, &mut NullObserver);
         assert_eq!(o.rung, DegradeRung::LqrFallback);
         assert_eq!(o.iterations, 0);
         assert!(o.u0.is_finite());
@@ -655,7 +566,12 @@ mod tests {
         let mut d = DeadlineSolver::new(solver(), DeadlineConfig::new(u64::MAX));
         let x0 = d.solver().problem().hover_offset_state(0.2);
         let mut e = PipelineExecutor::for_platform(&Platform::rocket_eigen());
-        let s = d.solve_in_place_at_rung(x0.as_slice(), &mut e, DegradeRung::Nominal);
+        let s = d.solve_in_place_at_rung(
+            x0.as_slice(),
+            &mut e,
+            DegradeRung::Nominal,
+            &mut NullObserver,
+        );
         assert_eq!(s.rung, DegradeRung::Nominal);
         assert!(s.converged);
         assert!(!s.fell_back);
@@ -663,28 +579,53 @@ mod tests {
         // The arena holds the applied control.
         assert!(d.solver().u0().iter().all(|v| v.is_finite()));
         // A forced widened rung runs with the stretched check interval.
-        let s = d.solve_in_place_at_rung(x0.as_slice(), &mut e, DegradeRung::WidenedCheck);
+        let s = d.solve_in_place_at_rung(
+            x0.as_slice(),
+            &mut e,
+            DegradeRung::WidenedCheck,
+            &mut NullObserver,
+        );
         assert_eq!(s.rung, DegradeRung::WidenedCheck);
         // Forcing the LQR rung never touches the solver.
-        let s = d.solve_in_place_at_rung(x0.as_slice(), &mut e, DegradeRung::LqrFallback);
+        let s = d.solve_in_place_at_rung(
+            x0.as_slice(),
+            &mut e,
+            DegradeRung::LqrFallback,
+            &mut NullObserver,
+        );
         assert_eq!(s.iterations, 0);
         assert_eq!(s.total_cycles, 0);
     }
 
     #[test]
-    fn lqr_u0_into_matches_allocating_lqr_and_survives_garbage() {
+    fn lqr_u0_into_applies_the_clipped_cached_gain_and_survives_garbage() {
         let d = DeadlineSolver::new(solver(), DeadlineConfig::new(1));
         let x0 = d.solver().problem().hover_offset_state(0.4);
-        let reference = d.lqr_u0(&x0);
+        let p = d.solver().problem();
+        // clip(−K∞ x0), by hand from the pristine cache.
+        let kinf = &d.pristine_cache().kinf;
+        let reference: Vec<f32> = (0..kinf.rows())
+            .map(|i| {
+                let ku: f32 = kinf
+                    .row(i)
+                    .iter()
+                    .zip(x0.as_slice())
+                    .map(|(k, x)| k * x)
+                    .sum();
+                (-ku).max(p.u_min).min(p.u_max)
+            })
+            .collect();
         let mut out = vec![0.0f32; reference.len()];
         d.lqr_u0_into(x0.as_slice(), &mut out);
-        for i in 0..out.len() {
-            assert_eq!(out[i], reference[i]);
+        for (u, r) in out.iter().zip(&reference) {
+            assert!(
+                (u - r).abs() <= 1e-5 * (1.0 + r.abs()),
+                "{out:?} vs {reference:?}"
+            );
         }
         // Non-finite state: still finite, still inside the box.
         let bad = vec![f32::NAN; x0.len()];
         d.lqr_u0_into(&bad, &mut out);
-        let p = d.solver().problem();
         for v in &out {
             assert!(v.is_finite() && *v >= p.u_min && *v <= p.u_max);
         }
@@ -694,7 +635,12 @@ mod tests {
     fn forced_rung_garbage_state_falls_back() {
         let mut d = DeadlineSolver::new(solver(), DeadlineConfig::new(u64::MAX));
         let bad = vec![f32::NAN; 12];
-        let s = d.solve_in_place_at_rung(&bad, &mut NullExecutor, DegradeRung::Nominal);
+        let s = d.solve_in_place_at_rung(
+            &bad,
+            &mut NullExecutor,
+            DegradeRung::Nominal,
+            &mut NullObserver,
+        );
         assert_eq!(s.rung, DegradeRung::LqrFallback);
         assert!(s.fell_back);
     }

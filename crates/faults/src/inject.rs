@@ -271,7 +271,7 @@ impl KernelExecutor for FaultyExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soc_dse::platform::Platform;
+    use soc_backend::Platform;
 
     fn dims() -> ProblemDims {
         ProblemDims {

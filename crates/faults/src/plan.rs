@@ -5,7 +5,7 @@
 //! bug report is exactly reproducible. Randomness comes from the same
 //! SplitMix64 generator the DSE crate uses for everything else.
 
-use soc_dse::rng::SplitMix64;
+use matlib::rng::SplitMix64;
 
 /// The hardware structure a fault lands in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -8,7 +8,7 @@
 //! vector. This gives the campaign a ground-truth execution model to
 //! contrast with the micro-op-level back-ends.
 
-use soc_dse::rng::SplitMix64;
+use matlib::rng::SplitMix64;
 use soc_riscv::{assemble, Machine};
 
 /// The same GEMV kernel the `riscv_kernel` example validates against

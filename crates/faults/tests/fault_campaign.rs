@@ -1,12 +1,12 @@
 //! End-to-end properties of the fault-injection and degradation stack.
 
 use soc_backend::PipelineExecutor;
-use soc_dse::platform::Platform;
+use soc_backend::Platform;
 use soc_faults::{
     run_campaign, CampaignKind, DataInjector, DeadlineConfig, DeadlineSolver, DegradeRung,
     FaultKind, FaultPlan, FaultSite,
 };
-use tinympc::{problems, AdmmSolver, NullExecutor, SolverSettings};
+use tinympc::{problems, AdmmSolver, NullExecutor, NullObserver, SolverSettings};
 
 fn quadrotor_solver() -> AdmmSolver<f32> {
     let p = problems::quadrotor_hover::<f32>(10).unwrap();
@@ -33,7 +33,7 @@ fn scratchpad_faults_detected_or_bounded() {
             matlib::Vector::from_slice(reference.u0())
         };
         let mut d = DeadlineSolver::new(proto.clone(), DeadlineConfig::new(u64::MAX));
-        let o = d.solve_observed(&x0, &mut NullExecutor, &mut DataInjector::new(*fault));
+        let o = d.solve(&x0, &mut NullExecutor, &mut DataInjector::new(*fault));
         assert!(o.u0.is_finite(), "fault {fault}: non-finite control");
         let detected = o.retried || !d.cache_is_pristine();
         let deviation = f64::from(o.u0.max_abs_diff(&u_ref).unwrap());
@@ -71,7 +71,7 @@ fn ladder_fires_in_order_under_shrinking_budget() {
     for b in budgets {
         let mut d = DeadlineSolver::new(proto.clone(), DeadlineConfig::new(b));
         let mut e = PipelineExecutor::for_platform(&Platform::rocket_eigen());
-        let o = d.solve(&x0, &mut e);
+        let o = d.solve(&x0, &mut e, &mut NullObserver);
         assert!(o.u0.is_finite(), "budget {b}: non-finite control");
         assert!(
             o.total_cycles <= b || o.rung == DegradeRung::LqrFallback,
@@ -129,7 +129,7 @@ fn never_nan_under_tiny_budget_and_injection() {
         };
         for budget in [nominal / 10, nominal / 100, 1] {
             let mut d = DeadlineSolver::new(proto.clone(), DeadlineConfig::new(budget));
-            let o = d.solve_observed(
+            let o = d.solve(
                 &x0,
                 &mut PipelineExecutor::for_platform(&platform),
                 &mut DataInjector::new(fault),

@@ -25,7 +25,7 @@
 //!   serving platform set, plus the square-pulse [`BurstModel`].
 //! * [`report`] — commutative atomic [`CycleHistogram`]s and the
 //!   deterministic report body.
-//! * [`bench`] — [`run_bench`]: the `dse bench-serve` engine.
+//! * [`mod@bench`] — [`run_bench`]: the `dse bench-serve` engine.
 //!
 //! ## Determinism contract
 //!
@@ -40,13 +40,14 @@
 //!
 //! After a two-tick warm-up, the steady-state tick loop performs zero
 //! heap allocations: references stream into the arena workspace via
-//! `knot_mut`, solves run through
-//! [`DeadlineSolver::solve_in_place_at_rung`], plant updates use
-//! `gemv_into`/`add_into` scratch, and metrics land in atomics.
-//! `crates/serve/tests/serve_alloc.rs` enforces this with a counting
+//! `knot_mut`, solves run through [`solve_in_place_at_rung`], plant
+//! updates use `gemv_into`/`add_into` scratch, and metrics land in
+//! atomics.
+//! `crates/serve/tests/serve_regression.rs` enforces this with a counting
 //! global allocator.
 //!
 //! [`DeadlineSolver`]: soc_faults::DeadlineSolver
+//! [`solve_in_place_at_rung`]: soc_faults::DeadlineSolver::solve_in_place_at_rung
 //! [`DegradeRung`]: soc_faults::DegradeRung
 //! [`CachedCosts`]: costs::CachedCosts
 //! [`CohortModel`]: session::CohortModel

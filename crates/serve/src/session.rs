@@ -17,7 +17,7 @@ use matlib::rng::SplitMix64;
 use soc_backend::Platform;
 use soc_faults::{DeadlineConfig, DeadlineSolver, DegradeRung, RungCosts, RungStatus};
 use soc_scenarios::Scenario;
-use tinympc::{AdmmSolver, ProblemDims, SolverSettings, WsField};
+use tinympc::{AdmmSolver, NullObserver, ProblemDims, SolverSettings, WsField};
 
 /// Phase-offset slots sessions are staggered across, so cohort members
 /// track shifted copies of the reference instead of moving in lockstep.
@@ -190,9 +190,9 @@ impl Session {
             ws.knot_mut(WsField::XRef, i).copy_from_slice(knot);
         }
 
-        let status = self
-            .solver
-            .solve_in_place_at_rung(&self.x, &mut self.costs, rung);
+        let status =
+            self.solver
+                .solve_in_place_at_rung(&self.x, &mut self.costs, rung, &mut NullObserver);
 
         // Plant update x⁺ = A·x + B·u₀ with the applied control: the
         // arena-staged u0, or the cached gain on the LQR rung.

@@ -8,6 +8,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use soc_serve::{plan_load, run_bench, BenchConfig, ServeRuntime};
 
@@ -42,6 +43,18 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// The counting allocator is process-global and the test harness runs
+/// tests on parallel threads, so a sibling test's allocations would land
+/// in another test's counting window. Every test in this binary holds
+/// this lock for its whole body.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`]; a test that panicked while holding it does not
+/// block the others.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn alloc_count() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
@@ -51,6 +64,7 @@ fn alloc_count() -> u64 {
 /// identical no matter how the tick batch is sharded across workers.
 #[test]
 fn bench_report_is_byte_identical_across_worker_counts() {
+    let _serial = serial();
     let render = |workers: usize| {
         let cfg = BenchConfig {
             sessions: 96,
@@ -85,6 +99,7 @@ fn bench_report_is_byte_identical_across_worker_counts() {
 /// iteration-order or time dependence in the report).
 #[test]
 fn bench_report_is_reproducible_for_a_fixed_seed() {
+    let _serial = serial();
     let cfg = BenchConfig {
         sessions: 64,
         ticks: 8,
@@ -102,6 +117,7 @@ fn bench_report_is_reproducible_for_a_fixed_seed() {
 /// demotion and histogram record works out of preallocated storage.
 #[test]
 fn steady_state_ticks_perform_zero_heap_allocations() {
+    let _serial = serial();
     let plan = plan_load(48, 7);
     let mut rt = ServeRuntime::new(&plan, 16, 7, 2).expect("runtime");
     let run = rt.run(16, &alloc_count);
@@ -118,6 +134,7 @@ fn steady_state_ticks_perform_zero_heap_allocations() {
 /// through its probe plumbing (what `dse bench-serve --smoke` gates on).
 #[test]
 fn bench_probe_observes_zero_steady_state_allocations() {
+    let _serial = serial();
     let cfg = BenchConfig {
         sessions: 48,
         ticks: 12,

@@ -461,8 +461,8 @@ impl CycleSource for SweepEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use soc_backend::Platform;
     use soc_dse::experiments::{KernelShape, Residency, SerialSource};
-    use soc_dse::platform::Platform;
 
     fn kernel_requests() -> Vec<KernelRequest> {
         let rocket = Platform::rocket_eigen();

@@ -3,7 +3,7 @@
 //! A key is a 128-bit FNV-1a hash over a *stable serialization* of
 //! everything that determines a cycle count: a cache-format version tag,
 //! the request kind, the platform's canonical configuration identity
-//! ([`soc_dse::platform::Platform::cache_id`] — every behavior-affecting
+//! ([`soc_backend::Platform::cache_id`] — every behavior-affecting
 //! field spelled out explicitly, display names excluded), and the
 //! request parameters. Any change to a config field or to
 //! [`CACHE_VERSION`] changes the key — so a stale cache can only ever
@@ -119,8 +119,8 @@ pub fn kernel_key(request: &KernelRequest) -> Key {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use soc_backend::Platform;
     use soc_dse::experiments::{KernelShape, Residency};
-    use soc_dse::platform::Platform;
 
     fn solve_req(horizon: usize) -> SolveRequest {
         SolveRequest::hover(Platform::rocket_eigen(), horizon)

@@ -65,8 +65,7 @@ pub mod spec;
 pub use cache::SweepCache;
 pub use engine::{ChaosAction, ChaosCtx, ChaosHook, EngineStats, FaultStats, SweepEngine};
 pub use pool::{
-    run_sharded, run_sharded_isolated, BatchJob, RetryPolicy, ShardFailure, ShardStats,
-    TickExecutor,
+    run_sharded_isolated, BatchJob, RetryPolicy, ShardFailure, ShardStats, TickExecutor,
 };
 pub use run::{run_sweep, run_sweep_tiered, SweepReport, SweepTier};
 pub use spec::{HeatmapSpec, SweepSpec};

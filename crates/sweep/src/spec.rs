@@ -1,8 +1,8 @@
 //! Declarative sweep specifications: which design points to price.
 
+use soc_backend::Platform;
 use soc_cpu::CoreConfig;
 use soc_dse::experiments::{KernelShape, Residency, Scenario};
-use soc_dse::platform::Platform;
 use soc_dse::workloads;
 use soc_gemmini::{GemminiConfig, GemminiOpts};
 use soc_vector::SaturnConfig;

@@ -73,7 +73,8 @@ impl std::fmt::Display for TerminationCause {
 /// Plain `Copy` data: the applied control stays staged in the solver's
 /// arena ([`AdmmSolver::u0`]) and the per-kernel cycle table in
 /// [`AdmmSolver::last_kernel_cycles`]. The allocating
-/// [`AdmmSolver::solve`] packages all three into a [`SolveResult`].
+/// [`AdmmSolver::solve_observed`] packages all three into a
+/// [`SolveResult`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveStatus {
     /// Whether all residuals fell below tolerance.
@@ -127,7 +128,8 @@ pub trait SolveObserver<T> {
     );
 }
 
-/// An observer that does nothing (the default for [`AdmmSolver::solve`]).
+/// An observer that does nothing (what [`AdmmSolver::solve_in_place`]
+/// passes).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullObserver;
 
@@ -287,35 +289,15 @@ impl<T: Scalar> AdmmSolver<T> {
     }
 
     /// Solves the MPC problem from initial state `x0`, charging simulated
-    /// cycles to `executor`.
+    /// cycles to `executor`, with an inter-iteration [`SolveObserver`]
+    /// hook (fault injection, instrumentation). Packages the arena
+    /// result into an owned [`SolveResult`]; allocation-free callers use
+    /// [`solve_in_place_observed`](Self::solve_in_place_observed).
     ///
     /// # Errors
     ///
-    /// Returns [`crate::Error::BadProblem`] if `x0` has the wrong
-    /// dimension, [`crate::Error::InvalidTrace`] if the executor rejects a
-    /// kernel trace, [`crate::Error::CorruptedWorkspace`] if the pinned
-    /// initial state changed mid-solve, and numeric errors (including
-    /// [`matlib::Error::NonFinite`]) for corrupted or inconsistent data.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates a fresh SolveResult per call; use `solve_in_place` \
-                (read `u0()` / `last_kernel_cycles()` from the arena) or \
-                `solve_observed` when the packaged result is required"
-    )]
-    pub fn solve(
-        &mut self,
-        x0: &Vector<T>,
-        executor: &mut dyn KernelExecutor,
-    ) -> Result<SolveResult<T>> {
-        self.solve_observed(x0, executor, &mut NullObserver)
-    }
-
-    /// [`solve`](Self::solve) with an inter-iteration [`SolveObserver`]
-    /// hook (fault injection, instrumentation).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`solve`](Self::solve).
+    /// Same contract as
+    /// [`solve_in_place_observed`](Self::solve_in_place_observed).
     pub fn solve_observed(
         &mut self,
         x0: &Vector<T>,
@@ -341,10 +323,6 @@ impl<T: Scalar> AdmmSolver<T> {
 }
 
 #[cfg(test)]
-// The deprecated `solve` wrapper stays covered here until it is
-// removed: these tests exercise result packaging on top of the arena
-// hot path.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::{problems, KernelExecutor, NullExecutor};
@@ -353,7 +331,9 @@ mod tests {
         let p = problems::double_integrator::<f64>(20).unwrap();
         let mut s = AdmmSolver::new(p, SolverSettings::default()).unwrap();
         let x0 = Vector::from_slice(x0);
-        let r = s.solve(&x0, &mut NullExecutor).unwrap();
+        let r = s
+            .solve_observed(&x0, &mut NullExecutor, &mut NullObserver)
+            .unwrap();
         (r, s)
     }
 
@@ -384,7 +364,9 @@ mod tests {
         )
         .unwrap();
         let x0 = Vector::from_slice(&[0.1, 0.0]);
-        let r = s.solve(&x0, &mut NullExecutor).unwrap();
+        let r = s
+            .solve_observed(&x0, &mut NullExecutor, &mut NullObserver)
+            .unwrap();
         assert!(r.converged);
         let u_lqr = -(k_true[(0, 0)] * x0[0] + k_true[(0, 1)] * x0[1]);
         assert!(
@@ -420,7 +402,9 @@ mod tests {
         let mut x = s.problem().hover_offset_state(0.3);
         let mut worst_iterations = 0;
         for _step in 0..400 {
-            let r = s.solve(&x, &mut NullExecutor).unwrap();
+            let r = s
+                .solve_observed(&x, &mut NullExecutor, &mut NullObserver)
+                .unwrap();
             worst_iterations = worst_iterations.max(r.iterations);
             let ax = a.matvec(&x).unwrap();
             let bu = b.matvec(&r.u0).unwrap();
@@ -436,10 +420,14 @@ mod tests {
         let p = problems::quadrotor_hover::<f64>(10).unwrap();
         let mut s = AdmmSolver::new(p, SolverSettings::default()).unwrap();
         let x0 = s.problem().hover_offset_state(0.2);
-        let cold = s.solve(&x0, &mut NullExecutor).unwrap();
+        let cold = s
+            .solve_observed(&x0, &mut NullExecutor, &mut NullObserver)
+            .unwrap();
         // Slightly perturbed re-solve with warm duals.
         let x1 = s.problem().hover_offset_state(0.19);
-        let warm = s.solve(&x1, &mut NullExecutor).unwrap();
+        let warm = s
+            .solve_observed(&x1, &mut NullExecutor, &mut NullObserver)
+            .unwrap();
         assert!(
             warm.iterations <= cold.iterations,
             "warm {} vs cold {}",
@@ -455,10 +443,18 @@ mod tests {
         let mut s64 = AdmmSolver::new(p64, SolverSettings::default()).unwrap();
         let mut s32 = AdmmSolver::new(p32, SolverSettings::default()).unwrap();
         let r64 = s64
-            .solve(&Vector::from_slice(&[2.0, -0.5]), &mut NullExecutor)
+            .solve_observed(
+                &Vector::from_slice(&[2.0, -0.5]),
+                &mut NullExecutor,
+                &mut NullObserver,
+            )
             .unwrap();
         let r32 = s32
-            .solve(&Vector::from_slice(&[2.0f32, -0.5]), &mut NullExecutor)
+            .solve_observed(
+                &Vector::from_slice(&[2.0f32, -0.5]),
+                &mut NullExecutor,
+                &mut NullObserver,
+            )
             .unwrap();
         assert!(r64.converged && r32.converged);
         assert!(
@@ -489,7 +485,11 @@ mod tests {
         let p = problems::double_integrator::<f64>(10).unwrap();
         let mut s = AdmmSolver::new(p, SolverSettings::default()).unwrap();
         let r = s
-            .solve(&Vector::from_slice(&[1.0, 0.0]), &mut UnitExecutor)
+            .solve_observed(
+                &Vector::from_slice(&[1.0, 0.0]),
+                &mut UnitExecutor,
+                &mut NullObserver,
+            )
             .unwrap();
         let n = 10;
         let iters = r.iterations as u64;
@@ -510,7 +510,11 @@ mod tests {
         let p = problems::double_integrator::<f64>(10).unwrap();
         let mut s = AdmmSolver::new(p, SolverSettings::default()).unwrap();
         assert!(s
-            .solve(&Vector::from_slice(&[1.0]), &mut NullExecutor)
+            .solve_observed(
+                &Vector::from_slice(&[1.0]),
+                &mut NullExecutor,
+                &mut NullObserver
+            )
             .is_err());
     }
 
@@ -519,13 +523,17 @@ mod tests {
         let p = problems::double_integrator::<f64>(20).unwrap();
         let mut s = AdmmSolver::new(p, SolverSettings::default()).unwrap();
         let x0 = Vector::from_slice(&[0.0, 0.0]);
-        let rest = s.solve(&x0, &mut NullExecutor).unwrap();
+        let rest = s
+            .solve_observed(&x0, &mut NullExecutor, &mut NullObserver)
+            .unwrap();
         // Now ask to move to position 1.
         let target = Vector::from_slice(&[1.0, 0.0]);
         let xref: Vec<_> = (0..20).map(|_| target.clone()).collect();
         s.set_reference(&xref).unwrap();
         s.cold_start();
-        let track = s.solve(&x0, &mut NullExecutor).unwrap();
+        let track = s
+            .solve_observed(&x0, &mut NullExecutor, &mut NullObserver)
+            .unwrap();
         assert!(
             track.u0[0] > rest.u0[0] + 1e-3,
             "tracking should push forward"
@@ -544,7 +552,11 @@ mod tests {
         };
         let mut s = AdmmSolver::new(p, settings).unwrap();
         let r = s
-            .solve(&Vector::from_slice(&[5.0, 0.0]), &mut NullExecutor)
+            .solve_observed(
+                &Vector::from_slice(&[5.0, 0.0]),
+                &mut NullExecutor,
+                &mut NullObserver,
+            )
             .unwrap();
         assert_eq!(r.termination, TerminationCause::MaxIterations);
         assert!(!r.converged);
@@ -555,7 +567,9 @@ mod tests {
         let p = problems::double_integrator::<f64>(10).unwrap();
         let mut s = AdmmSolver::new(p, SolverSettings::default()).unwrap();
         let x0 = Vector::from_slice(&[50.0, 0.0]);
-        let full = s.solve(&x0, &mut UnitExecutor).unwrap();
+        let full = s
+            .solve_observed(&x0, &mut UnitExecutor, &mut NullObserver)
+            .unwrap();
         assert!(full.iterations > 2, "need a multi-iteration baseline");
 
         // Budget for roughly two iterations: the solve must stop on the
@@ -567,7 +581,9 @@ mod tests {
         };
         let mut s =
             AdmmSolver::new(problems::double_integrator::<f64>(10).unwrap(), settings).unwrap();
-        let r = s.solve(&x0, &mut UnitExecutor).unwrap();
+        let r = s
+            .solve_observed(&x0, &mut UnitExecutor, &mut NullObserver)
+            .unwrap();
         assert_eq!(r.termination, TerminationCause::Deadline);
         assert!(r.iterations < full.iterations);
         assert!(r.total_cycles <= budget, "predictive stop overran");
@@ -583,7 +599,11 @@ mod tests {
         };
         let mut s = AdmmSolver::new(p, settings).unwrap();
         let r = s
-            .solve(&Vector::from_slice(&[1.0, 0.0]), &mut UnitExecutor)
+            .solve_observed(
+                &Vector::from_slice(&[1.0, 0.0]),
+                &mut UnitExecutor,
+                &mut NullObserver,
+            )
             .unwrap();
         assert_eq!(r.iterations, 1);
         assert_eq!(r.termination, TerminationCause::Deadline);
@@ -667,7 +687,11 @@ mod tests {
         let p = problems::double_integrator::<f64>(10).unwrap();
         let mut s = AdmmSolver::new(p, SolverSettings::default()).unwrap();
         assert!(s
-            .solve(&Vector::from_slice(&[f64::NAN, 0.0]), &mut NullExecutor)
+            .solve_observed(
+                &Vector::from_slice(&[f64::NAN, 0.0]),
+                &mut NullExecutor,
+                &mut NullObserver
+            )
             .is_err());
     }
 }

@@ -13,6 +13,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use tinympc::{problems, AdmmSolver, NullExecutor, SolverDims, SolverSettings};
 
@@ -46,6 +47,18 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// The counting allocator is process-global and the test harness runs
+/// tests on parallel threads, so a sibling test's allocations would land
+/// in another test's counting window. Every test in this binary holds
+/// this lock for its whole body.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`]; a test that panicked while holding it does not
+/// block the others.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Runs `f` and returns how many allocations it performed.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
@@ -88,6 +101,7 @@ fn assert_warm_solve_is_allocation_free<const FORCE_DYNAMIC: bool>(name: &str) {
 
 #[test]
 fn warm_solve_in_place_performs_zero_heap_allocations() {
+    let _serial = serial();
     // Const-specialized paths.
     assert_warm_solve_is_allocation_free::<false>("quadrotor_hover");
     assert_warm_solve_is_allocation_free::<false>("double_integrator");
@@ -99,6 +113,7 @@ fn warm_solve_in_place_performs_zero_heap_allocations() {
 
 #[test]
 fn warm_solve_with_reference_tracking_stays_allocation_free() {
+    let _serial = serial();
     let problem = problems::quadrotor_hover::<f32>(10).unwrap();
     let nx = problem.dims().nx;
     let mut solver = AdmmSolver::new(problem, SolverSettings::default()).unwrap();

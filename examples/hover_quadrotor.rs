@@ -13,8 +13,8 @@
 //! error alongside the achievable control rate on the chosen platform.
 
 use soc_dse_repro::matlib::Vector;
-use soc_dse_repro::soc_dse::platform::Platform;
-use soc_dse_repro::soc_dse::workloads::figure8_reference;
+use soc_dse_repro::soc_backend::Platform;
+use soc_dse_repro::soc_scenarios::reference::figure8;
 use soc_dse_repro::tinympc::{problems, AdmmSolver, SolverSettings};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut last_termination = None;
 
     for step in 0..steps {
-        let xref = figure8_reference::<f32>(12, horizon, step, dt);
+        let xref = figure8::<f32>(12, horizon, step, dt);
         solver.set_reference(&xref)?;
         let status = solver.solve_in_place(x.as_slice(), executor.as_mut())?;
         worst_cycles = worst_cycles.max(status.total_cycles);

@@ -8,11 +8,11 @@
 use std::time::Instant;
 
 use soc_dse_repro::matlib;
+use soc_dse_repro::soc_backend::Platform;
 use soc_dse_repro::soc_cpu::CoreConfig;
 use soc_dse_repro::soc_dse::experiments::{
     kernel_breakdown, standalone_kernel, KernelShape, Residency,
 };
-use soc_dse_repro::soc_dse::platform::Platform;
 use soc_dse_repro::soc_gemmini::{GemminiConfig, GemminiOpts};
 use soc_dse_repro::soc_vector::SaturnConfig;
 use soc_dse_repro::tinympc::{problems, AdmmSolver, KernelId, NullExecutor, SolverSettings};

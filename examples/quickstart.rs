@@ -6,8 +6,8 @@
 
 use std::time::Instant;
 
+use soc_dse_repro::soc_backend::Platform;
 use soc_dse_repro::soc_dse::experiments::solve_cycles;
-use soc_dse_repro::soc_dse::platform::Platform;
 use soc_dse_repro::tinympc::{problems, AdmmSolver, NullExecutor, SolverSettings};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -11,6 +11,7 @@
 //! cargo run --bin dse -- energy
 //! ```
 
+use soc_dse_repro::soc_backend::Platform;
 use soc_dse_repro::soc_backend::{pipeline_for, BoundClaim};
 use soc_dse_repro::soc_bounds::{kernel_bounds, CycleInterval};
 use soc_dse_repro::soc_codegen::{tune, TuningSpace};
@@ -20,7 +21,6 @@ use soc_dse_repro::soc_dse::experiments::{
     kernel_breakdown, pareto_frontier, solve_cycles, table1_scenario_with, table1_with, Scenario,
     ScenarioCatalog, Table1Row,
 };
-use soc_dse_repro::soc_dse::platform::Platform;
 use soc_dse_repro::soc_dse::report::markdown_table;
 use soc_dse_repro::soc_dse::verify::{shipped_configurations, verify_platform};
 use soc_dse_repro::soc_faults::{

@@ -20,10 +20,10 @@
 //! * **Sweep tiering**: the analytical tier's report is byte-identical
 //!   to the trace tier's and its pruning never changes the frontier.
 
+use soc_dse_repro::soc_backend::Platform;
 use soc_dse_repro::soc_backend::{pipeline_for, BoundClaim};
 use soc_dse_repro::soc_bounds::{kernel_bounds, setup_bounds, solve_bounds, standalone_bounds};
 use soc_dse_repro::soc_dse::experiments::{solve_cycles, KernelShape, Residency};
-use soc_dse_repro::soc_dse::platform::Platform;
 use soc_dse_repro::soc_sweep::{run_sweep, run_sweep_tiered, SweepEngine, SweepSpec, SweepTier};
 use soc_dse_repro::tinympc::{KernelId, ProblemDims};
 

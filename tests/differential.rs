@@ -17,14 +17,14 @@
 //! arithmetic; a nonzero diff means a backend started computing its own
 //! numbers and this contract needs re-documenting).
 
+use soc_dse_repro::matlib::rng::SplitMix64;
 use soc_dse_repro::matlib::{gemv, Matrix, Vector};
+use soc_dse_repro::soc_backend::Platform;
 use soc_dse_repro::soc_cpu::CoreConfig;
 use soc_dse_repro::soc_dse::experiments::Scenario;
 use soc_dse_repro::soc_dse::experiments::{
     solve_problem_cycles, solve_scenario_cycles, ScenarioCatalog,
 };
-use soc_dse_repro::soc_dse::platform::Platform;
-use soc_dse_repro::soc_dse::rng::SplitMix64;
 use soc_dse_repro::soc_gemmini::{GemminiConfig, GemminiOpts};
 use soc_dse_repro::soc_riscv::{assemble, Machine};
 use soc_dse_repro::soc_vector::SaturnConfig;

@@ -1,9 +1,9 @@
 //! Cross-crate end-to-end tests: functional equivalence across executors,
 //! closed-loop behaviour, and accounting consistency.
 
+use soc_dse_repro::soc_backend::Platform;
 use soc_dse_repro::soc_dse::experiments::solve_cycles;
-use soc_dse_repro::soc_dse::platform::Platform;
-use soc_dse_repro::soc_dse::workloads::figure8_reference;
+use soc_dse_repro::soc_scenarios::reference::figure8;
 use soc_dse_repro::tinympc::{problems, AdmmSolver, KernelId, NullExecutor, SolverSettings};
 
 #[test]
@@ -100,7 +100,7 @@ fn closed_loop_figure8_tracks_on_fastest_platform() {
     let mut x = solver.problem().hover_offset_state(0.0);
     let mut worst_err = 0.0f64;
     for step in 0..600 {
-        let xref = figure8_reference::<f32>(12, horizon, step, 0.01);
+        let xref = figure8::<f32>(12, horizon, step, 0.01);
         solver.set_reference(&xref).unwrap();
         solver
             .solve_in_place(x.as_slice(), executor.as_mut())

@@ -1,8 +1,9 @@
-//! Golden-file tests: `dse table1` and `dse sweep --smoke` stdout is
-//! snapshotted under `tests/golden/` and compared **exactly**. Cycle
-//! counts come from deterministic integer trace simulation and every
-//! float is printed with fixed formatting, so the reports are stable
-//! across debug/release, thread counts, and machines.
+//! Golden-file tests: the stdout of `dse table1`, `dse scenarios`,
+//! `dse sweep --smoke`, `dse faults` and `dse serve` is snapshotted
+//! under `tests/golden/` and compared **exactly**. Cycle counts come
+//! from deterministic integer trace simulation and every float is
+//! printed with fixed formatting, so the reports are stable across
+//! debug/release, thread counts, and machines.
 //!
 //! To regenerate after an intentional change to cycle models or report
 //! formatting, run:
@@ -95,4 +96,42 @@ fn sweep_scenario_smoke_report_matches_golden() {
         "sweep_figure8_smoke.txt",
         &String::from_utf8_lossy(&out.stdout),
     );
+}
+
+#[test]
+fn faults_smoke_report_matches_golden() {
+    // The fault campaign's report body: detections, retries and ladder
+    // rungs per back-end family, all from seeded simulation.
+    let out = dse(&["faults", "--smoke"]);
+    assert!(out.status.success());
+    assert_golden("faults_smoke.txt", &String::from_utf8_lossy(&out.stdout));
+}
+
+#[test]
+fn faults_rendezvous_full_report_matches_golden() {
+    // The full campaign on rendezvous reaches the bounded-retry path of
+    // the deadline solver, so this pins recovery as well as detection.
+    let out = dse(&[
+        "faults",
+        "--campaign",
+        "full",
+        "--seed",
+        "7",
+        "--scenario",
+        "rendezvous",
+    ]);
+    assert!(out.status.success());
+    assert_golden(
+        "faults_rendezvous_full.txt",
+        &String::from_utf8_lossy(&out.stdout),
+    );
+}
+
+#[test]
+fn serve_report_matches_golden() {
+    // Only the simulated-cycle report body is pinned; host timing goes
+    // to stderr.
+    let out = dse(&["serve", "--sessions", "60", "--ticks", "40", "--seed", "7"]);
+    assert!(out.status.success());
+    assert_golden("serve_smoke.txt", &String::from_utf8_lossy(&out.stdout));
 }

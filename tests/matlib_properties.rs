@@ -10,8 +10,8 @@
 //! * Riccati (`dare`): the cost-to-go `P` is symmetric, every produced
 //!   matrix is finite, and the algebraic residual is small.
 
+use soc_dse_repro::matlib::rng::SplitMix64;
 use soc_dse_repro::matlib::{dare, dare_residual, Cholesky, DareOptions, Lu, Matrix, Qr, Vector};
-use soc_dse_repro::soc_dse::rng::SplitMix64;
 
 const SEEDS: u64 = 100;
 

@@ -1,11 +1,11 @@
 //! Integration tests asserting the paper's headline claims hold in the
 //! reproduction — orderings and crossovers, not absolute numbers.
 
+use soc_dse_repro::soc_backend::Platform;
 use soc_dse_repro::soc_cpu::CoreConfig;
 use soc_dse_repro::soc_dse::experiments::{
     pareto_frontier, solve_cycles, speedup_heatmap, table1, KernelShape, Residency,
 };
-use soc_dse_repro::soc_dse::platform::Platform;
 use soc_dse_repro::soc_dse::workloads;
 use soc_dse_repro::soc_gemmini::{GemminiConfig, GemminiOpts};
 use soc_dse_repro::soc_vector::SaturnConfig;

@@ -6,8 +6,8 @@
 //! here means the refactored dispatch changed timing semantics, which
 //! the golden diff alone could disguise as an "intentional" regen.
 
+use soc_dse_repro::soc_backend::Platform;
 use soc_dse_repro::soc_dse::experiments::solve_cycles;
-use soc_dse_repro::soc_dse::platform::Platform;
 use soc_dse_repro::soc_sweep::SweepSpec;
 use std::path::PathBuf;
 
