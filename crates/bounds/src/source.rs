@@ -187,7 +187,7 @@ pub fn analytical_solve_scenario(
         total_cycles: status.total_cycles,
         iterations: status.iterations,
         converged: status.converged,
-        kernel_cycles: solver.last_kernel_cycles().to_map(),
+        kernel_cycles: solver.last_kernel_cycles(),
     })
 }
 

@@ -12,7 +12,7 @@
 use soc_backend::pipeline_for;
 use soc_backend::Platform;
 use std::collections::BTreeMap;
-use tinympc::{AdmmSolver, KernelId, NullObserver, SolveResult, SolverSettings};
+use tinympc::{AdmmSolver, KernelCycles, KernelId, NullObserver, SolveResult, SolverSettings};
 
 pub use soc_backend::{KernelShape, Residency};
 pub use soc_scenarios::{evaluate_closed_loop, ClosedLoopReport, Scenario, ScenarioCatalog};
@@ -125,7 +125,7 @@ pub fn solve_scenario_summary(
         total_cycles: status.total_cycles,
         iterations: status.iterations,
         converged: status.converged,
-        kernel_cycles: solver.last_kernel_cycles().to_map(),
+        kernel_cycles: solver.last_kernel_cycles(),
     })
 }
 
@@ -162,7 +162,7 @@ pub struct SolveSummary {
     /// Whether the solver reported convergence.
     pub converged: bool,
     /// Per-kernel cycle attribution.
-    pub kernel_cycles: BTreeMap<KernelId, u64>,
+    pub kernel_cycles: KernelCycles,
 }
 
 impl From<&SolveOutcome> for SolveSummary {
@@ -171,7 +171,12 @@ impl From<&SolveOutcome> for SolveSummary {
             total_cycles: outcome.result.total_cycles,
             iterations: outcome.result.iterations,
             converged: outcome.result.converged,
-            kernel_cycles: outcome.result.kernel_cycles.clone(),
+            kernel_cycles: outcome
+                .result
+                .kernel_cycles
+                .iter()
+                .map(|(&k, &c)| (k, c))
+                .collect(),
         }
     }
 }
@@ -372,7 +377,7 @@ pub fn kernel_speedups_with(
     Ok(KernelId::ALL
         .iter()
         .filter_map(|k| {
-            let (ca, cb) = (a.get(k).copied()?, b.get(k).copied()?);
+            let (ca, cb) = (a.charged(*k)?, b.charged(*k)?);
             Some((*k, cb as f64 / ca.max(1) as f64))
         })
         .collect())

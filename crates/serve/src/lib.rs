@@ -12,10 +12,12 @@
 //!   [`soc_backend::priced_for`] interner. Sessions carry it by value,
 //!   so the tick hot path prices kernels without touching the
 //!   interner's locks (and without allocating).
-//! * [`session`] — [`CohortModel`] (one per scenario × platform:
-//!   Riccati cache computed once, flat reference trajectory, rung cost
-//!   vector) and [`Session`] (a warm [`DeadlineSolver`] clone plus
-//!   plant state and scratch — everything one tenant's tick touches).
+//! * [`session`] — [`plant_for`], the process-wide plant interner (one
+//!   DARE per plant per process, however many cohorts and admissions
+//!   fly it), [`CohortModel`] (one per scenario × platform: a clone of
+//!   the interned solver, flat reference trajectory, rung cost vector)
+//!   and [`Session`] (a warm [`DeadlineSolver`] clone plus plant state
+//!   and scratch — everything one tenant's tick touches).
 //! * [`runtime`] — [`ServeRuntime`]: recurring tick batches on the
 //!   persistent [`soc_sweep::TickExecutor`], with
 //!   [`DegradeRung`]-ladder *cohort shedding* as the admission policy —
@@ -50,6 +52,7 @@
 //! [`solve_in_place_at_rung`]: soc_faults::DeadlineSolver::solve_in_place_at_rung
 //! [`DegradeRung`]: soc_faults::DegradeRung
 //! [`CachedCosts`]: costs::CachedCosts
+//! [`plant_for`]: session::plant_for
 //! [`CohortModel`]: session::CohortModel
 //! [`Session`]: session::Session
 //! [`ServeRuntime`]: runtime::ServeRuntime
@@ -72,4 +75,4 @@ pub use costs::CachedCosts;
 pub use loadgen::{plan_load, BurstModel, LoadPlan};
 pub use report::CycleHistogram;
 pub use runtime::{RunStats, ServeRuntime};
-pub use session::{CohortModel, Session};
+pub use session::{plant_for, plant_reuse, CohortModel, PlantReuse, Session};

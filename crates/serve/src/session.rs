@@ -2,26 +2,94 @@
 //!
 //! A **cohort** is every session flying the same workload on the same
 //! platform: one `(scenario, platform, dims)` triple. Everything
-//! expensive is computed once per cohort at admission — the DARE
-//! (Riccati) cache inside the prototype [`DeadlineSolver`], the
-//! [`CachedCosts`] pricing snapshot, the [`RungCosts`] ladder costs,
-//! and the flat reference trajectory. A **session** is one tenant: a
-//! warm clone of the prototype solver (cheap memcpy of the shared
-//! cache), its own plant state, and preallocated scratch. Cloning the
-//! prototype is what lets ten thousand quadrotor sessions share one
-//! Riccati solve and one pricing pass while keeping their warm-start
-//! state private.
+//! expensive is computed at most once per cohort at admission — the
+//! [`CachedCosts`] pricing snapshot, the [`RungCosts`] ladder costs, and
+//! the flat reference trajectory. The DARE (Riccati) cache is shared
+//! wider still: it depends on the plant alone, never on the platform,
+//! so [`plant_for`] computes it **once per plant per process** and every
+//! later cohort of that plant — in this admission or any later one —
+//! starts from a clone of the interned prototype solver. A **session**
+//! is one tenant: a warm clone of the cohort's prototype
+//! [`DeadlineSolver`] (cheap memcpy of the shared cache), its own plant
+//! state, and preallocated scratch. Cloning is what lets ten thousand
+//! quadrotor sessions share one Riccati solve and one pricing pass
+//! while keeping their warm-start state private.
 
 use crate::costs::CachedCosts;
 use matlib::rng::SplitMix64;
 use soc_backend::Platform;
 use soc_faults::{DeadlineConfig, DeadlineSolver, DegradeRung, RungCosts, RungStatus};
 use soc_scenarios::Scenario;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use tinympc::{AdmmSolver, NullObserver, ProblemDims, SolverSettings, WsField};
 
 /// Phase-offset slots sessions are staggered across, so cohort members
 /// track shifted copies of the reference instead of moving in lockstep.
 pub const PHASE_SLOTS: usize = 32;
+
+/// Interned prototype solvers, keyed by `(scenario.cache_id(), horizon)`.
+type PlantMap = HashMap<(String, usize), Arc<AdmmSolver<f32>>>;
+
+fn plants() -> MutexGuard<'static, PlantMap> {
+    static PLANTS: OnceLock<Mutex<PlantMap>> = OnceLock::new();
+    // Every critical section is one probe or one insert on an
+    // insert-only map, so a poisoned lock still guards a whole map.
+    PLANTS
+        .get_or_init(|| Mutex::new(HashMap::new()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
+
+static PLANTS_BUILT: AtomicU64 = AtomicU64::new(0);
+static PLANTS_REUSED: AtomicU64 = AtomicU64::new(0);
+
+/// The process-wide prototype solver for `scenario`'s plant at
+/// `horizon`: problem plus DARE cache, built once with
+/// [`SolverSettings::default`] and shared by every cohort flying that
+/// plant, whatever its platform. Callers clone it; a clone is
+/// bit-identical to a fresh [`AdmmSolver::new`].
+///
+/// The DARE runs outside the interner's lock, so a slow build never
+/// blocks other plants; if two threads race on one plant, the first
+/// insert wins and both get that solver. Failed builds are not
+/// memoized: every call with a bad `horizon` errors again.
+///
+/// # Errors
+///
+/// Propagates problem construction and Riccati-cache failures.
+pub fn plant_for(scenario: &Scenario, horizon: usize) -> tinympc::Result<Arc<AdmmSolver<f32>>> {
+    let key = (scenario.cache_id(), horizon);
+    if let Some(solver) = plants().get(&key) {
+        PLANTS_REUSED.fetch_add(1, Ordering::Relaxed);
+        return Ok(Arc::clone(solver));
+    }
+    let built = AdmmSolver::new(scenario.problem(horizon)?, SolverSettings::default())?;
+    PLANTS_BUILT.fetch_add(1, Ordering::Relaxed);
+    Ok(Arc::clone(
+        plants().entry(key).or_insert_with(|| Arc::new(built)),
+    ))
+}
+
+/// How often [`plant_for`] ran a DARE versus handed out an interned
+/// prototype, since process start. Host-process events: they depend on
+/// what ran earlier in the process, so they stay out of report bodies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PlantReuse {
+    /// Prototype solvers built (one DARE each).
+    pub built: u64,
+    /// Cohort builds served from the interner without a DARE.
+    pub reused: u64,
+}
+
+/// The current [`PlantReuse`] counters.
+pub fn plant_reuse() -> PlantReuse {
+    PlantReuse {
+        built: PLANTS_BUILT.load(Ordering::Relaxed),
+        reused: PLANTS_REUSED.load(Ordering::Relaxed),
+    }
+}
 
 /// Everything shared by one cohort of sessions, computed once at
 /// admission.
@@ -43,9 +111,11 @@ pub struct CohortModel {
 }
 
 impl CohortModel {
-    /// Builds a cohort model: plant + DARE cache once, kernel pricing
-    /// once (through the process-wide interner), ladder costs once, and
-    /// the reference trajectory flattened out to `ticks` plant steps.
+    /// Builds a cohort model: a clone of the plant's interned prototype
+    /// solver ([`plant_for`]: one DARE per plant per process), kernel
+    /// pricing once (through the process-wide pricer interner), ladder
+    /// costs once, and the reference trajectory flattened out to `ticks`
+    /// plant steps.
     ///
     /// # Errors
     ///
@@ -57,9 +127,8 @@ impl CohortModel {
         ticks: usize,
         control_hz: f64,
     ) -> tinympc::Result<Self> {
-        let problem = scenario.problem::<f32>(horizon)?;
-        let dims = problem.dims();
-        let solver = AdmmSolver::new(problem, SolverSettings::default())?;
+        let solver = AdmmSolver::clone(&*plant_for(scenario, horizon)?);
+        let dims = solver.problem().dims();
         let config = DeadlineConfig::from_rates(control_hz, CLOCK_HZ);
         let mut prototype = DeadlineSolver::new(solver, config);
         let mut costs = CachedCosts::price(platform, dims)?;
@@ -288,6 +357,82 @@ mod tests {
             "hover regulation must contract the offset: {start} -> {end}"
         );
         assert_eq!(s.ticks(), 40);
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn interned_plants_match_a_fresh_construction_bit_for_bit() {
+        let mut scenarios = soc_scenarios::ScenarioCatalog::standard()
+            .scenarios()
+            .to_vec();
+        scenarios.push(Scenario::random_stable_plant(6, 2, 42));
+        scenarios.push(Scenario::random_stable_plant(4, 3, 1009));
+        for scenario in &scenarios {
+            let horizon = scenario.default_horizon();
+            let fresh = AdmmSolver::new(
+                scenario.problem::<f32>(horizon).unwrap(),
+                SolverSettings::default(),
+            )
+            .unwrap();
+            // Twice: the first call may build, the second must reuse.
+            let first = plant_for(scenario, horizon).unwrap();
+            let interned = plant_for(scenario, horizon).unwrap();
+            assert!(Arc::ptr_eq(&first, &interned), "{}", scenario.cache_id());
+
+            let (p, q) = (interned.problem(), fresh.problem());
+            let name = scenario.cache_id();
+            assert_eq!(bits(p.a.as_slice()), bits(q.a.as_slice()), "{name}: A");
+            assert_eq!(bits(p.b.as_slice()), bits(q.b.as_slice()), "{name}: B");
+            assert_eq!(
+                bits(p.q_diag.as_slice()),
+                bits(q.q_diag.as_slice()),
+                "{name}: Q"
+            );
+            assert_eq!(
+                bits(p.r_diag.as_slice()),
+                bits(q.r_diag.as_slice()),
+                "{name}: R"
+            );
+            let scalars = |p: &tinympc::TinyMpcProblem<f32>| {
+                bits(&[p.rho, p.u_min, p.u_max, p.x_min, p.x_max])
+            };
+            assert_eq!(scalars(p), scalars(q), "{name}: scalars");
+            assert_eq!(p.horizon, q.horizon, "{name}: horizon");
+            assert_eq!(
+                format!("{:?}", p.input_cones),
+                format!("{:?}", q.input_cones),
+                "{name}: cones"
+            );
+
+            let (c, d) = (interned.cache(), fresh.cache());
+            for (field, x, y) in [
+                ("kinf", &c.kinf, &d.kinf),
+                ("kinf_t", &c.kinf_t, &d.kinf_t),
+                ("pinf", &c.pinf, &d.pinf),
+                ("quu_inv", &c.quu_inv, &d.quu_inv),
+                ("am_bk_t", &c.am_bk_t, &d.am_bk_t),
+                ("b_t", &c.b_t, &d.b_t),
+            ] {
+                assert_eq!(x.shape(), y.shape(), "{name}: {field}");
+                assert_eq!(bits(x.as_slice()), bits(y.as_slice()), "{name}: {field}");
+            }
+            assert_eq!(c.riccati_iterations, d.riccati_iterations, "{name}");
+            assert_eq!(interned.settings(), fresh.settings(), "{name}");
+        }
+    }
+
+    #[test]
+    fn failed_plant_builds_error_every_time_and_are_never_cached() {
+        let scenario = Scenario::double_integrator();
+        for _ in 0..3 {
+            assert!(plant_for(&scenario, 1).is_err());
+            assert!(!plants().contains_key(&(scenario.cache_id(), 1)));
+        }
+        assert!(CohortModel::build(&scenario, &Platform::rocket_eigen(), 1, 8, 100.0).is_err());
+        assert!(!plants().contains_key(&(scenario.cache_id(), 1)));
     }
 
     #[test]

@@ -27,10 +27,10 @@
 
 use crate::key::Key;
 use soc_dse::experiments::SolveSummary;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use tinympc::KernelId;
+use tinympc::{KernelCycles, KernelId};
 
 /// Which tier answered a cache probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -309,14 +309,14 @@ fn parse_solve(text: &str) -> Option<SolveSummary> {
         "false" => false,
         _ => return None,
     };
-    let mut kernel_cycles = BTreeMap::new();
-    for pair in field(&mut lines, "kernels")?
+    let kernel_cycles = field(&mut lines, "kernels")?
         .split(',')
         .filter(|p| !p.is_empty())
-    {
-        let (name, cycles) = pair.split_once('=')?;
-        kernel_cycles.insert(kernel_id_by_name(name)?, cycles.parse().ok()?);
-    }
+        .map(|pair| {
+            let (name, cycles) = pair.split_once('=')?;
+            Some((kernel_id_by_name(name)?, cycles.parse().ok()?))
+        })
+        .collect::<Option<KernelCycles>>()?;
     Some(SolveSummary {
         total_cycles,
         iterations,
@@ -349,9 +349,12 @@ mod tests {
     use crate::key::key_of;
 
     fn summary() -> SolveSummary {
-        let mut kernel_cycles = BTreeMap::new();
-        kernel_cycles.insert(KernelId::ForwardPass1, 123);
-        kernel_cycles.insert(KernelId::DualResidualInput, 7);
+        let mut kernel_cycles = KernelCycles::new();
+        kernel_cycles.add(KernelId::ForwardPass1, 123);
+        // An ideal accelerator charges a kernel at zero cycles: the entry
+        // must survive the round trip as charged, not vanish.
+        kernel_cycles.add(KernelId::UpdateSlack1, 0);
+        kernel_cycles.add(KernelId::DualResidualInput, 7);
         SolveSummary {
             total_cycles: 392_261,
             iterations: 35,
@@ -363,7 +366,13 @@ mod tests {
     #[test]
     fn solve_round_trips_through_text() {
         let s = summary();
-        assert_eq!(parse_solve(&render_solve(&s)), Some(s));
+        let text = render_solve(&s);
+        // Kernel order and spelling are part of the on-disk format.
+        assert!(
+            text.ends_with("\nkernels ForwardPass1=123,UpdateSlack1=0,DualResidualInput=7\n"),
+            "{text}"
+        );
+        assert_eq!(parse_solve(&text), Some(s));
     }
 
     #[test]

@@ -154,13 +154,13 @@ impl KernelId {
     }
 }
 
-/// Fixed-size per-kernel cycle table: the allocation-free counterpart of
-/// the `BTreeMap<KernelId, u64>` in [`crate::SolveResult`].
+/// Fixed-size, `Copy` per-kernel cycle table: the allocation-free
+/// counterpart of the `BTreeMap<KernelId, u64>` in [`crate::SolveResult`].
 ///
 /// Tracks which kernels were *charged* separately from their cycle
 /// counts so that a kernel charged at zero cycles (an ideal accelerator)
-/// still appears in [`KernelCycles::to_map`], matching the legacy
-/// accounting exactly.
+/// is still reported by [`KernelCycles::charged`], [`KernelCycles::iter`]
+/// and [`KernelCycles::to_map`], matching the map accounting exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KernelCycles {
     counts: [u64; 15],
@@ -196,6 +196,22 @@ impl KernelCycles {
         self.counts[kernel.index()]
     }
 
+    /// Cycles charged to `kernel`, or `None` if it was never charged (a
+    /// kernel charged at zero cycles is `Some(0)`).
+    #[inline]
+    pub fn charged(&self, kernel: KernelId) -> Option<u64> {
+        let i = kernel.index();
+        (self.charged & (1 << i) != 0).then_some(self.counts[i])
+    }
+
+    /// Every charged kernel with its cycles, in [`KernelId::ALL`] order
+    /// (the key order of the map form).
+    pub fn iter(&self) -> impl Iterator<Item = (KernelId, u64)> + '_ {
+        KernelId::ALL
+            .iter()
+            .filter_map(|&k| Some((k, self.charged(k)?)))
+    }
+
     /// Sum over all kernels.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
@@ -204,11 +220,18 @@ impl KernelCycles {
     /// Expands into the map form used by [`crate::SolveResult`]: one
     /// entry per *charged* kernel.
     pub fn to_map(&self) -> std::collections::BTreeMap<KernelId, u64> {
-        KernelId::ALL
-            .iter()
-            .filter(|k| self.charged & (1 << k.index()) != 0)
-            .map(|&k| (k, self.get(k)))
-            .collect()
+        self.iter().collect()
+    }
+}
+
+/// Charges every `(kernel, cycles)` pair, as [`KernelCycles::add`] does.
+impl FromIterator<(KernelId, u64)> for KernelCycles {
+    fn from_iter<I: IntoIterator<Item = (KernelId, u64)>>(iter: I) -> Self {
+        let mut table = KernelCycles::new();
+        for (kernel, cycles) in iter {
+            table.add(kernel, cycles);
+        }
+        table
     }
 }
 
@@ -352,6 +375,9 @@ mod tests {
         assert_eq!(map.len(), 2);
         assert_eq!(map[&KernelId::ForwardPass1], 15);
         assert_eq!(map[&KernelId::UpdateSlack1], 0);
+        assert_eq!(t.charged(KernelId::UpdateSlack1), Some(0));
+        assert_eq!(t.charged(KernelId::UpdateSlack2), None);
+        assert_eq!(map.into_iter().collect::<KernelCycles>(), t);
         t.reset();
         assert!(t.to_map().is_empty());
     }

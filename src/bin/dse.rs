@@ -27,7 +27,7 @@ use soc_dse_repro::soc_faults::{
     recoverable_strikes, run_campaign_scenario, run_chaos, CampaignKind,
 };
 use soc_dse_repro::soc_gemmini::GemminiConfig;
-use soc_dse_repro::soc_serve::{run_bench, BenchConfig};
+use soc_dse_repro::soc_serve::{plant_reuse, run_bench, BenchConfig};
 use soc_dse_repro::soc_sweep::{run_sweep_tiered, SweepEngine, SweepSpec, SweepTier};
 use soc_dse_repro::soc_vector::SaturnConfig;
 use soc_dse_repro::soc_verify::Severity;
@@ -164,11 +164,20 @@ fn alloc_count() -> u64 {
     counting_alloc::ALLOCATIONS.load(std::sync::atomic::Ordering::Relaxed)
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// The value following flag `name`, or `None` when the flag is absent.
+///
+/// # Errors
+///
+/// A flag given without a value — last on the line, or followed by
+/// another `--flag` — is an error rather than a silent default.
+fn flag(args: &[String], name: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(value) if !value.starts_with("--") => Ok(Some(value.clone())),
+        _ => Err(format!("flag `{name}` requires a value")),
+    }
 }
 
 /// Minimal JSON string escaping for the hand-rolled `--json` outputs
@@ -204,7 +213,7 @@ fn table1_rows() -> Result<Vec<Table1Row>, String> {
 }
 
 fn find_scenario(args: &[String]) -> Result<Scenario, String> {
-    match flag(args, "--scenario") {
+    match flag(args, "--scenario")? {
         None => Ok(Scenario::hover()),
         Some(name) => ScenarioCatalog::standard()
             .find(&name)
@@ -347,7 +356,7 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "sweep" => {
-            let jobs: usize = flag(args, "--jobs")
+            let jobs: usize = flag(args, "--jobs")?
                 .map(|j| j.parse().map_err(|_| format!("bad job count `{j}`")))
                 .transpose()?
                 .unwrap_or_else(default_jobs)
@@ -358,7 +367,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 SweepSpec::full()
             }
             .with_scenario(find_scenario(args)?);
-            let tier = match flag(args, "--tier").as_deref() {
+            let tier = match flag(args, "--tier")?.as_deref() {
                 None | Some("trace") => SweepTier::Trace,
                 Some("analytical") => SweepTier::Analytical,
                 Some(other) => return Err(format!("unknown tier `{other}`")),
@@ -366,13 +375,13 @@ fn run(args: &[String]) -> Result<(), String> {
             let mut engine = if args.iter().any(|a| a == "--no-cache") {
                 SweepEngine::in_memory(jobs)
             } else {
-                let dir = flag(args, "--cache-dir")
+                let dir = flag(args, "--cache-dir")?
                     .or_else(|| std::env::var("SOC_SWEEP_CACHE_DIR").ok())
                     .unwrap_or_else(|| "target/sweep-cache".to_string());
                 SweepEngine::with_cache_dir(jobs, dir)
                     .map_err(|e| format!("cache directory: {e}"))?
             };
-            if let Some(chaos_seed) = flag(args, "--chaos-seed") {
+            if let Some(chaos_seed) = flag(args, "--chaos-seed")? {
                 let chaos_seed: u64 = chaos_seed
                     .parse()
                     .map_err(|_| format!("bad chaos seed `{chaos_seed}`"))?;
@@ -414,7 +423,7 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "chaos" => {
-            let seed: u64 = flag(args, "--seed")
+            let seed: u64 = flag(args, "--seed")?
                 .map(|s| s.parse().map_err(|_| format!("bad seed `{s}`")))
                 .transpose()?
                 .unwrap_or(7);
@@ -433,7 +442,7 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "bounds" => {
-            let horizon: usize = flag(args, "--horizon")
+            let horizon: usize = flag(args, "--horizon")?
                 .map(|h| h.parse().map_err(|_| format!("bad horizon `{h}`")))
                 .transpose()?
                 .unwrap_or(10);
@@ -594,8 +603,8 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "solve" => {
-            let name = flag(args, "--platform").ok_or("solve requires --platform NAME")?;
-            let horizon: usize = flag(args, "--horizon")
+            let name = flag(args, "--platform")?.ok_or("solve requires --platform NAME")?;
+            let horizon: usize = flag(args, "--horizon")?
                 .map(|h| h.parse().map_err(|_| format!("bad horizon `{h}`")))
                 .transpose()?
                 .unwrap_or(10);
@@ -612,7 +621,7 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "kernels" => {
-            let name = flag(args, "--platform").ok_or("kernels requires --platform NAME")?;
+            let name = flag(args, "--platform")?.ok_or("kernels requires --platform NAME")?;
             let platform = find_platform(&name)?;
             let breakdown = kernel_breakdown(&platform, 10).map_err(|e| e.to_string())?;
             let total: u64 = breakdown.values().sum();
@@ -639,7 +648,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let verbose = args.iter().any(|a| a == "--verbose");
             let strict = args.iter().any(|a| a == "--strict");
             let json = args.iter().any(|a| a == "--json");
-            let platforms = match flag(args, "--platform") {
+            let platforms = match flag(args, "--platform")? {
                 Some(name) => {
                     let p = shipped_configurations()
                         .into_iter()
@@ -747,12 +756,12 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "faults" => {
-            let seed: u64 = flag(args, "--seed")
+            let seed: u64 = flag(args, "--seed")?
                 .map(|s| s.parse().map_err(|_| format!("bad seed `{s}`")))
                 .transpose()?
                 .unwrap_or(7);
             let gate = args.iter().any(|a| a == "--smoke");
-            let kind = match flag(args, "--campaign").as_deref() {
+            let kind = match flag(args, "--campaign")?.as_deref() {
                 None => CampaignKind::Smoke,
                 Some("smoke") => CampaignKind::Smoke,
                 Some("full") => CampaignKind::Full,
@@ -782,16 +791,16 @@ fn run(args: &[String]) -> Result<(), String> {
                 cfg.sessions = 1000;
                 cfg.ticks = 40;
             }
-            if let Some(s) = flag(args, "--sessions") {
+            if let Some(s) = flag(args, "--sessions")? {
                 cfg.sessions = s.parse().map_err(|_| format!("bad session count `{s}`"))?;
             }
-            if let Some(s) = flag(args, "--ticks") {
+            if let Some(s) = flag(args, "--ticks")? {
                 cfg.ticks = s.parse().map_err(|_| format!("bad tick count `{s}`"))?;
             }
-            if let Some(s) = flag(args, "--seed") {
+            if let Some(s) = flag(args, "--seed")? {
                 cfg.seed = s.parse().map_err(|_| format!("bad seed `{s}`"))?;
             }
-            if let Some(s) = flag(args, "--workers") {
+            if let Some(s) = flag(args, "--workers")? {
                 cfg.workers = s.parse().map_err(|_| format!("bad worker count `{s}`"))?;
             }
             let out = run_bench(&cfg, &alloc_count).map_err(|e| e.to_string())?;
@@ -808,6 +817,11 @@ fn run(args: &[String]) -> Result<(), String> {
                 h.steady_allocs,
                 h.retries,
                 h.watchdog_trips
+            );
+            let plants = plant_reuse();
+            eprintln!(
+                "plant interner: {} built (one DARE each), {} reused",
+                plants.built, plants.reused
             );
             if artifacts {
                 std::fs::create_dir_all("results")
@@ -833,7 +847,7 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "tune" => {
-            let target = flag(args, "--target").ok_or("tune requires --target KIND")?;
+            let target = flag(args, "--target")?.ok_or("tune requires --target KIND")?;
             let space = match target.as_str() {
                 "rocket" => TuningSpace::scalar(CoreConfig::rocket()),
                 "saturn" => TuningSpace::saturn(CoreConfig::rocket(), SaturnConfig::v512d256()),

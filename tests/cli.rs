@@ -63,3 +63,24 @@ fn unknown_command_fails_with_usage() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE"));
 }
+
+#[test]
+fn a_flag_without_a_value_is_a_usage_error() {
+    for args in [
+        &["serve", "--sessions"][..],
+        &["serve", "--sessions", "--ticks", "4"][..],
+        &["sweep", "--jobs"][..],
+        &["sweep", "--jobs", "--smoke"][..],
+    ] {
+        let out = dse(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let name = args[1];
+        assert!(
+            err.contains(&format!("flag `{name}` requires a value")),
+            "{args:?}: {err}"
+        );
+        assert!(err.contains("USAGE"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} must not run");
+    }
+}
