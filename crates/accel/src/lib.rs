@@ -17,11 +17,16 @@
 //! signed zeros and NaN payload propagation — the differential tests
 //! below assert it.
 //!
-//! This is the only crate in the workspace that uses `unsafe`
-//! (`matlib` and `tinympc` are `#![forbid(unsafe_code)]`): calling a
-//! `#[target_feature(enable = "fma")]` function requires an `unsafe`
-//! block, discharged by the `is_x86_feature_detected!` guard in front
-//! of it. Non-`x86_64` builds (and pre-FMA CPUs) return `false` and
+//! Two kernel families share that contract: the runtime-shaped
+//! [`gemv_f32`]/[`gemv_f64`], and [`gemv_const_f32`]/[`gemv_const_f64`],
+//! compiled per `R×C` shape with constant trip counts for the solver's
+//! const-dims path.
+//!
+//! This is the only library crate in the workspace that uses `unsafe`
+//! (every other one is `#![forbid(unsafe_code)]`, which CI checks):
+//! calling a `#[target_feature(enable = "fma")]` function requires an
+//! `unsafe` block, discharged by the `is_x86_feature_detected!` guard
+//! in front of it. Non-`x86_64` builds (and pre-FMA CPUs) return `false` and
 //! the caller keeps its generic loop.
 
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -58,6 +63,59 @@ mod x86 {
             *yi = acc + 0.0;
         }
     }
+
+    /// [`gemv_rows_f32`] for a compile-time `R×C` shape: the same
+    /// operation sequence, with constant trip counts the compiler
+    /// unrolls (rows may interleave; each row's sum stays sequential).
+    #[target_feature(enable = "fma")]
+    pub fn gemv_const_f32<const R: usize, const C: usize>(
+        a: &[[f32; C]; R],
+        x: &[f32; C],
+        y: &mut [f32; R],
+    ) {
+        for (row, yi) in a.iter().zip(y.iter_mut()) {
+            let mut acc = 0.0f32;
+            for (&aip, &xp) in row.iter().zip(x.iter()) {
+                acc = aip.mul_add(xp, acc);
+            }
+            *yi = acc + 0.0;
+        }
+    }
+
+    /// `f64` variant of [`gemv_const_f32`].
+    #[target_feature(enable = "fma")]
+    pub fn gemv_const_f64<const R: usize, const C: usize>(
+        a: &[[f64; C]; R],
+        x: &[f64; C],
+        y: &mut [f64; R],
+    ) {
+        for (row, yi) in a.iter().zip(y.iter_mut()) {
+            let mut acc = 0.0f64;
+            for (&aip, &xp) in row.iter().zip(x.iter()) {
+                acc = aip.mul_add(xp, acc);
+            }
+            *yi = acc + 0.0;
+        }
+    }
+}
+
+/// Views a row-major `R×C` slice, and `x`/`y`, as fixed-size arrays.
+///
+/// # Panics
+///
+/// Panics if `a.len() != R * C`, `x.len() != C` or `y.len() != R`.
+#[cfg(target_arch = "x86_64")]
+fn const_shape<'a, T, const R: usize, const C: usize>(
+    a: &'a [T],
+    x: &'a [T],
+    y: &'a mut [T],
+) -> (&'a [[T; C]; R], &'a [T; C], &'a mut [T; R]) {
+    let (rows, rest) = a.as_chunks::<C>();
+    assert!(rest.is_empty(), "gemv const shape: ragged matrix");
+    let a = rows.try_into().expect("gemv const shape: row count");
+    let x = x.try_into().expect("gemv const shape: x length");
+    let y = y.try_into().expect("gemv const shape: y length");
+    (a, x, y)
 }
 
 /// True when the running CPU has a fused-multiply-add unit the
@@ -110,6 +168,51 @@ pub fn gemv_f64(a: &[f64], x: &[f64], y: &mut [f64]) -> bool {
         assert_eq!(a.len(), x.len() * y.len(), "gemv_f64 shape");
         // SAFETY: as in `gemv_f32`.
         unsafe { x86::gemv_rows_f64(a, x, y) };
+        return true;
+    }
+    let _ = (a, x, y);
+    false
+}
+
+/// [`gemv_f32`] for a compile-time `R×C` shape (`R` rows of `C`
+/// columns); returns `false` (leaving `y` untouched) when no hardware
+/// kernel is available.
+///
+/// Bit-identical to [`gemv_f32`] on the same operands: only the trip
+/// counts are fixed, so the compiler unrolls the loops and drops the
+/// per-row slicing.
+///
+/// # Panics
+///
+/// Panics if `a.len() != R * C`, `x.len() != C`, `y.len() != R`, or
+/// `C == 0`.
+#[inline]
+pub fn gemv_const_f32<const R: usize, const C: usize>(a: &[f32], x: &[f32], y: &mut [f32]) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if available() {
+        let (a, x, y) = const_shape::<f32, R, C>(a, x, y);
+        // SAFETY: `available()` just confirmed the FMA feature at
+        // runtime; the kernel uses no other target features.
+        unsafe { x86::gemv_const_f32::<R, C>(a, x, y) };
+        return true;
+    }
+    let _ = (a, x, y);
+    false
+}
+
+/// `f64` variant of [`gemv_const_f32`].
+///
+/// # Panics
+///
+/// Panics if `a.len() != R * C`, `x.len() != C`, `y.len() != R`, or
+/// `C == 0`.
+#[inline]
+pub fn gemv_const_f64<const R: usize, const C: usize>(a: &[f64], x: &[f64], y: &mut [f64]) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if available() {
+        let (a, x, y) = const_shape::<f64, R, C>(a, x, y);
+        // SAFETY: as in `gemv_const_f32`.
+        unsafe { x86::gemv_const_f64::<R, C>(a, x, y) };
         return true;
     }
     let _ = (a, x, y);
@@ -198,6 +301,80 @@ mod tests {
             let slow_bits: Vec<u64> = slow.iter().map(|v| v.to_bits()).collect();
             assert_eq!(fast_bits, slow_bits, "{rows}x{cols}");
         }
+    }
+
+    /// Pins the `R×C` const-shape kernels bit-for-bit against the
+    /// reference loop (and the runtime-shaped kernel) on `n` random
+    /// operand sets from `next`, in both precisions.
+    fn check_const_shape<const R: usize, const C: usize>(next: &mut impl FnMut() -> f64, n: usize) {
+        for _ in 0..n {
+            let a: Vec<f64> = (0..R * C).map(|_| next()).collect();
+            let x: Vec<f64> = (0..C).map(|_| next()).collect();
+
+            let mut fast = [0.0f64; R];
+            let mut slow = [0.0f64; R];
+            assert!(gemv_const_f64::<R, C>(&a, &x, &mut fast));
+            reference_f64(&a, &x, &mut slow);
+            assert_eq!(
+                fast.map(f64::to_bits),
+                slow.map(f64::to_bits),
+                "f64 {R}x{C}"
+            );
+
+            let (a, x): (Vec<f32>, Vec<f32>) = (
+                a.iter().map(|&v| v as f32).collect(),
+                x.iter().map(|&v| v as f32).collect(),
+            );
+            let mut fast = [0.0f32; R];
+            let mut slow = [0.0f32; R];
+            let mut runtime = [0.0f32; R];
+            assert!(gemv_const_f32::<R, C>(&a, &x, &mut fast));
+            reference_f32(&a, &x, &mut slow);
+            assert!(gemv_f32(&a, &x, &mut runtime));
+            assert_eq!(
+                fast.map(f32::to_bits),
+                slow.map(f32::to_bits),
+                "f32 {R}x{C}"
+            );
+            assert_eq!(
+                fast.map(f32::to_bits),
+                runtime.map(f32::to_bits),
+                "f32 {R}x{C}"
+            );
+        }
+    }
+
+    /// Every shape the solver's const dims tags reach: `nx×nx`,
+    /// `nu×nx`, `nx×nu` and `nu×nu` for 12×4, 6×3 and 2×1.
+    #[test]
+    fn const_shape_kernels_are_bit_identical_to_libcall_path() {
+        if !available() {
+            return;
+        }
+        let mut next = stream(13);
+        let n = 64;
+        check_const_shape::<12, 12>(&mut next, n);
+        check_const_shape::<4, 12>(&mut next, n);
+        check_const_shape::<12, 4>(&mut next, n);
+        check_const_shape::<4, 4>(&mut next, n);
+        check_const_shape::<6, 6>(&mut next, n);
+        check_const_shape::<3, 6>(&mut next, n);
+        check_const_shape::<6, 3>(&mut next, n);
+        check_const_shape::<3, 3>(&mut next, n);
+        check_const_shape::<2, 2>(&mut next, n);
+        check_const_shape::<1, 2>(&mut next, n);
+        check_const_shape::<2, 1>(&mut next, n);
+        check_const_shape::<1, 1>(&mut next, n);
+    }
+
+    #[test]
+    #[should_panic(expected = "gemv const shape")]
+    fn const_shape_kernel_rejects_a_mismatched_operand() {
+        if !available() {
+            panic!("gemv const shape: no FMA kernel on this host");
+        }
+        let mut y = [0.0f32; 2];
+        gemv_const_f32::<2, 3>(&[0.0; 6], &[0.0; 2], &mut y);
     }
 
     #[test]

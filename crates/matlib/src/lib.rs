@@ -49,7 +49,7 @@ pub use error::Error;
 pub use matrix::Matrix;
 pub use ops::{
     add_assign, add_into, axpy_into, clamp_in_place, clamp_into, gemm, gemm_accumulate, gemv,
-    gemv_accumulate, gemv_into, max_abs_diff_slices, neg_into, scale_in_place, scale_into,
+    gemv_into, gemv_into_const, max_abs_diff_slices, neg_into, scale_in_place, scale_into,
     sub_assign, sub_into,
 };
 pub use qr::Qr;

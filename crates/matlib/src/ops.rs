@@ -112,21 +112,20 @@ pub fn gemv<T: Scalar>(a: &Matrix<T>, x: &Vector<T>) -> Result<Vector<T>> {
     Ok(out)
 }
 
-/// General matrix-vector product with accumulation:
-/// `y = alpha * A * x + beta * y`.
-///
-/// # Errors
-///
-/// Returns [`Error::DimensionMismatch`] if `a.cols() != x.len()` or
-/// `y.len() != a.rows()`, and [`Error::NonFinite`] if the output contains
-/// NaN/Inf.
-pub fn gemv_accumulate<T: Scalar>(
-    alpha: T,
-    a: &Matrix<T>,
-    x: &Vector<T>,
-    beta: T,
-    y: &mut Vector<T>,
-) -> Result<()> {
+#[inline]
+fn check_len<T>(op: &'static str, a: &[T], b: &[T]) -> Result<()> {
+    if a.len() != b.len() {
+        return Err(Error::DimensionMismatch {
+            op,
+            lhs: (a.len(), 1),
+            rhs: (b.len(), 1),
+        });
+    }
+    Ok(())
+}
+
+/// Shape checks shared by [`gemv_into`] and [`gemv_into_const`].
+fn check_gemv<T: Scalar>(a: &Matrix<T>, x: &[T], y: &[T]) -> Result<()> {
     if a.cols() != x.len() {
         return Err(Error::DimensionMismatch {
             op: "gemv",
@@ -141,27 +140,20 @@ pub fn gemv_accumulate<T: Scalar>(
             rhs: (y.len(), 1),
         });
     }
-    for i in 0..a.rows() {
-        let row = a.row(i);
-        let mut acc = T::ZERO;
-        for (p, &aip) in row.iter().enumerate() {
-            acc = aip.mul_add(x[p], acc);
-        }
-        y[i] = alpha * acc + beta * y[i];
-    }
-    guard_finite("gemv", y.as_slice())
+    Ok(())
 }
 
-#[inline]
-fn check_len<T>(op: &'static str, a: &[T], b: &[T]) -> Result<()> {
-    if a.len() != b.len() {
-        return Err(Error::DimensionMismatch {
-            op,
-            lhs: (a.len(), 1),
-            rhs: (b.len(), 1),
-        });
+/// The portable gemv loop every accelerated kernel reproduces: one
+/// `mul_add` per element, sequential accumulation from zero within a
+/// row, and a trailing `+ 0` that canonicalizes −0.
+fn gemv_rows<T: Scalar>(a: &Matrix<T>, x: &[T], y: &mut [T]) {
+    for (i, yi) in y.iter_mut().enumerate() {
+        let mut acc = T::ZERO;
+        for (&aip, &xp) in a.row(i).iter().zip(x.iter()) {
+            acc = aip.mul_add(xp, acc);
+        }
+        *yi = acc + T::ZERO;
     }
-    Ok(())
 }
 
 /// In-place GEMV: `y = A · x` into the caller-provided slice, with zero
@@ -177,32 +169,39 @@ fn check_len<T>(op: &'static str, a: &[T], b: &[T]) -> Result<()> {
 /// `y.len() != a.rows()`, and [`Error::NonFinite`] if the output
 /// contains NaN/Inf.
 pub fn gemv_into<T: Scalar>(a: &Matrix<T>, x: &[T], y: &mut [T]) -> Result<()> {
-    if a.cols() != x.len() {
-        return Err(Error::DimensionMismatch {
-            op: "gemv",
-            lhs: a.shape(),
-            rhs: (x.len(), 1),
-        });
-    }
-    if y.len() != a.rows() {
-        return Err(Error::DimensionMismatch {
-            op: "gemv(out)",
-            lhs: (a.rows(), 1),
-            rhs: (y.len(), 1),
-        });
-    }
+    check_gemv(a, x, y)?;
     // Hardware-FMA fast path (bit-identical by the `gemv_accel`
     // contract); the generic loop is the portable fallback.
     if !T::gemv_accel(a.as_slice(), x, y) {
-        for (i, yi) in y.iter_mut().enumerate() {
-            let mut acc = T::ZERO;
-            for (&aip, &xp) in a.row(i).iter().zip(x.iter()) {
-                acc = aip.mul_add(xp, acc);
-            }
-            // `alpha·acc + beta·0` of the legacy accumulate path with
-            // alpha = 1, beta = 0: the trailing `+ 0` canonicalizes −0.
-            *yi = acc + T::ZERO;
-        }
+        gemv_rows(a, x, y);
+    }
+    guard_finite("gemv", y.iter())
+}
+
+/// [`gemv_into`] for a matrix of compile-time shape `R×C`: the same
+/// checks, operation sequence and result bits, through the
+/// const-shape kernel of [`Scalar::gemv_accel_const`], whose loops
+/// have constant trip counts.
+///
+/// # Errors
+///
+/// As [`gemv_into`]; additionally [`Error::DimensionMismatch`] (op
+/// `"gemv(const)"`) if `a` is not `R×C`.
+pub fn gemv_into_const<T: Scalar, const R: usize, const C: usize>(
+    a: &Matrix<T>,
+    x: &[T],
+    y: &mut [T],
+) -> Result<()> {
+    check_gemv(a, x, y)?;
+    if a.shape() != (R, C) {
+        return Err(Error::DimensionMismatch {
+            op: "gemv(const)",
+            lhs: a.shape(),
+            rhs: (R, C),
+        });
+    }
+    if !T::gemv_accel_const::<R, C>(a.as_slice(), x, y) {
+        gemv_rows(a, x, y);
     }
     guard_finite("gemv", y.iter())
 }
@@ -396,20 +395,42 @@ mod tests {
     }
 
     #[test]
-    fn gemv_accumulate_matches_manual() {
-        let a = mat(&[&[2.0, 0.0], &[0.0, 2.0]]);
-        let x = Vector::from_slice(&[1.0, 2.0]);
-        let mut y = Vector::from_slice(&[1.0, 1.0]);
-        gemv_accumulate(1.0, &a, &x, -1.0, &mut y).unwrap();
-        assert_eq!(y.as_slice(), &[1.0, 3.0]);
+    fn gemv_into_const_matches_gemv_into_bit_for_bit() {
+        let a = Matrix::from_fn(3, 2, |r, c| (r as f32 - 1.3) * (c as f32 + 0.7) / 3.0);
+        let x = [0.1f32, -2.5];
+        let mut dynamic = [0.0f32; 3];
+        let mut fixed = [0.0f32; 3];
+        gemv_into(&a, &x, &mut dynamic).unwrap();
+        gemv_into_const::<f32, 3, 2>(&a, &x, &mut fixed).unwrap();
+        assert_eq!(dynamic.map(f32::to_bits), fixed.map(f32::to_bits));
     }
 
     #[test]
-    fn gemv_out_len_checked() {
+    fn gemv_into_const_keeps_the_dynamic_checks() {
         let a = Matrix::<f64>::zeros(2, 2);
-        let x = Vector::zeros(2);
-        let mut y = Vector::zeros(3);
-        assert!(gemv_accumulate(1.0, &a, &x, 0.0, &mut y).is_err());
+        // Same errors, in the same order, as gemv_into.
+        for (x, y) in [(3usize, 2usize), (2, 3)] {
+            let (xs, mut ys) = (vec![0.0; x], vec![0.0; y]);
+            let want = gemv_into(&a, &xs, &mut ys).unwrap_err();
+            assert_eq!(
+                gemv_into_const::<f64, 2, 2>(&a, &xs, &mut ys).unwrap_err(),
+                want
+            );
+        }
+        let nan = mat(&[&[f64::NAN, 0.0], &[0.0, 1.0]]);
+        let mut y = [0.0; 2];
+        assert!(matches!(
+            gemv_into_const::<f64, 2, 2>(&nan, &[1.0, 1.0], &mut y),
+            Err(Error::NonFinite { op: "gemv" })
+        ));
+        // A consistent operand set of another shape is rejected.
+        assert!(matches!(
+            gemv_into_const::<f64, 3, 3>(&a, &[0.0; 2], &mut y),
+            Err(Error::DimensionMismatch {
+                op: "gemv(const)",
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -41,7 +41,14 @@ pub trait Scalar:
     fn max(self, other: Self) -> Self;
     /// Element-wise minimum.
     fn min(self, other: Self) -> Self;
-    /// Fused (or at least contracted) multiply-add `self * a + b`.
+    /// Fused multiply-add `self * a + b`, computed with a single,
+    /// correctly rounded result (IEEE 754 `fusedMultiplyAdd`), never
+    /// as a separately rounded multiply and add.
+    ///
+    /// Every accelerated kernel ([`gemv_accel`](Scalar::gemv_accel),
+    /// [`gemv_accel_const`](Scalar::gemv_accel_const)) is bit-identical
+    /// to the generic loops only because both sides compute this one
+    /// uniquely defined value.
     fn mul_add(self, a: Self, b: Self) -> Self;
     /// Lossless widening to `f64` for diagnostics and residual reporting.
     fn to_f64(self) -> f64;
@@ -65,10 +72,22 @@ pub trait Scalar:
     fn gemv_accel(_a: &[Self], _x: &[Self], _y: &mut [Self]) -> bool {
         false
     }
+    /// [`gemv_accel`](Scalar::gemv_accel) for a compile-time shape of
+    /// `R` rows by `C` columns, reached through
+    /// [`gemv_into_const`](crate::gemv_into_const) once the operands
+    /// are checked to have that shape. Same bit-identity contract.
+    #[inline]
+    fn gemv_accel_const<const R: usize, const C: usize>(
+        _a: &[Self],
+        _x: &[Self],
+        _y: &mut [Self],
+    ) -> bool {
+        false
+    }
 }
 
 macro_rules! impl_scalar {
-    ($t:ty, $gemv_accel:path) => {
+    ($t:ty, $gemv_accel:ident, $gemv_accel_const:ident) => {
         impl Scalar for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -108,11 +127,19 @@ macro_rules! impl_scalar {
             }
             #[inline]
             fn gemv_accel(a: &[Self], x: &[Self], y: &mut [Self]) -> bool {
-                $gemv_accel(a, x, y)
+                matlib_accel::$gemv_accel(a, x, y)
+            }
+            #[inline]
+            fn gemv_accel_const<const R: usize, const C: usize>(
+                a: &[Self],
+                x: &[Self],
+                y: &mut [Self],
+            ) -> bool {
+                matlib_accel::$gemv_accel_const::<R, C>(a, x, y)
             }
         }
     };
 }
 
-impl_scalar!(f32, matlib_accel::gemv_f32);
-impl_scalar!(f64, matlib_accel::gemv_f64);
+impl_scalar!(f32, gemv_f32, gemv_const_f32);
+impl_scalar!(f64, gemv_f64, gemv_const_f64);

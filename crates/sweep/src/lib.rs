@@ -53,6 +53,7 @@
 //! assert_eq!(warm.stats.misses, 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;

@@ -9,6 +9,14 @@
 //! bit-identical by construction — the differential tests assert this
 //! at `U0_TOLERANCE = 0.0`.
 //!
+//! The shape reaches into the gemv kernels too: every gemv in a pass
+//! goes through one of the tag's four shape-typed methods
+//! (`DimsTag::gemv_xx` and siblings). The dynamic tag calls
+//! [`matlib::gemv_into`]; the const tag calls
+//! [`matlib::gemv_into_const`], whose hardware-FMA kernel is compiled
+//! for the exact `R×C` shape. Both keep the same checks and the same
+//! per-row FMA sequence, so the result bits are equal.
+//!
 //! All passes operate on disjoint arena views
 //! ([`crate::workspace::Views`]) through the in-place `matlib` kernels
 //! (`gemv_into`, `add_into`, …): a warm [`AdmmSolver::solve_in_place`]
@@ -69,12 +77,27 @@ impl SolverDims {
     }
 }
 
-/// Compile-time-or-runtime problem shape handed to every pass.
+/// Compile-time-or-runtime problem shape handed to every pass, plus
+/// the shape-typed gemvs the passes run (`y = A·x`, `A` named by its
+/// rows×columns in state/input dims).
+///
+/// Each tag has exactly one gemv kernel: [`DynDims`] runs the
+/// runtime-shaped [`matlib::gemv_into`], [`ConstDims`] the const-shape
+/// [`matlib::gemv_into_const`]. Both are bit-identical by the `Scalar`
+/// accelerated-kernel contract.
 pub(crate) trait DimsTag: Copy {
     /// State dimension.
     fn nx(self) -> usize;
     /// Input dimension.
     fn nu(self) -> usize;
+    /// gemv with an `nx×nx` matrix (`A`, `(A−BK)ᵀ`, `P∞`).
+    fn gemv_xx<T: Scalar>(self, a: &Matrix<T>, x: &[T], y: &mut [T]) -> matlib::Result<()>;
+    /// gemv with an `nu×nx` matrix (`K∞`, `Bᵀ`).
+    fn gemv_ux<T: Scalar>(self, a: &Matrix<T>, x: &[T], y: &mut [T]) -> matlib::Result<()>;
+    /// gemv with an `nx×nu` matrix (`B`, `K∞ᵀ`).
+    fn gemv_xu<T: Scalar>(self, a: &Matrix<T>, x: &[T], y: &mut [T]) -> matlib::Result<()>;
+    /// gemv with an `nu×nu` matrix (`Quu⁻¹`).
+    fn gemv_uu<T: Scalar>(self, a: &Matrix<T>, x: &[T], y: &mut [T]) -> matlib::Result<()>;
 }
 
 /// Runtime dims: the generic fallback path.
@@ -93,10 +116,27 @@ impl DimsTag for DynDims {
     fn nu(self) -> usize {
         self.nu
     }
+    #[inline(always)]
+    fn gemv_xx<T: Scalar>(self, a: &Matrix<T>, x: &[T], y: &mut [T]) -> matlib::Result<()> {
+        matlib::gemv_into(a, x, y)
+    }
+    #[inline(always)]
+    fn gemv_ux<T: Scalar>(self, a: &Matrix<T>, x: &[T], y: &mut [T]) -> matlib::Result<()> {
+        matlib::gemv_into(a, x, y)
+    }
+    #[inline(always)]
+    fn gemv_xu<T: Scalar>(self, a: &Matrix<T>, x: &[T], y: &mut [T]) -> matlib::Result<()> {
+        matlib::gemv_into(a, x, y)
+    }
+    #[inline(always)]
+    fn gemv_uu<T: Scalar>(self, a: &Matrix<T>, x: &[T], y: &mut [T]) -> matlib::Result<()> {
+        matlib::gemv_into(a, x, y)
+    }
 }
 
 /// Const dims: accessors fold to constants, so the per-knot loops get
-/// constant trip counts under monomorphization.
+/// constant trip counts under monomorphization, and every gemv runs a
+/// kernel compiled for its exact shape.
 #[derive(Clone, Copy)]
 pub(crate) struct ConstDims<const NX: usize, const NU: usize>;
 
@@ -108,6 +148,22 @@ impl<const NX: usize, const NU: usize> DimsTag for ConstDims<NX, NU> {
     #[inline(always)]
     fn nu(self) -> usize {
         NU
+    }
+    #[inline(always)]
+    fn gemv_xx<T: Scalar>(self, a: &Matrix<T>, x: &[T], y: &mut [T]) -> matlib::Result<()> {
+        matlib::gemv_into_const::<T, NX, NX>(a, x, y)
+    }
+    #[inline(always)]
+    fn gemv_ux<T: Scalar>(self, a: &Matrix<T>, x: &[T], y: &mut [T]) -> matlib::Result<()> {
+        matlib::gemv_into_const::<T, NU, NX>(a, x, y)
+    }
+    #[inline(always)]
+    fn gemv_xu<T: Scalar>(self, a: &Matrix<T>, x: &[T], y: &mut [T]) -> matlib::Result<()> {
+        matlib::gemv_into_const::<T, NX, NU>(a, x, y)
+    }
+    #[inline(always)]
+    fn gemv_uu<T: Scalar>(self, a: &Matrix<T>, x: &[T], y: &mut [T]) -> matlib::Result<()> {
+        matlib::gemv_into_const::<T, NU, NU>(a, x, y)
     }
 }
 
@@ -150,12 +206,12 @@ fn backward<T: Scalar, D: DimsTag>(
         let p_i1 = &p_hi[..nx];
         let r_i = &r[i * nu..(i + 1) * nu];
         // d[i] = Quu⁻¹ (Bᵀ p[i+1] + r[i])
-        matlib::gemv_into(&cache.b_t, p_i1, su_a)?;
+        dims.gemv_ux(&cache.b_t, p_i1, su_a)?;
         matlib::add_into(&*su_a, r_i, su_b)?;
-        matlib::gemv_into(&cache.quu_inv, &*su_b, &mut d[i * nu..(i + 1) * nu])?;
+        dims.gemv_uu(&cache.quu_inv, &*su_b, &mut d[i * nu..(i + 1) * nu])?;
         // p[i] = q[i] + (A−BK)ᵀ p[i+1] − K∞ᵀ r[i]
-        matlib::gemv_into(&cache.am_bk_t, p_i1, sx_a)?;
-        matlib::gemv_into(&cache.kinf_t, r_i, sx_b)?;
+        dims.gemv_xx(&cache.am_bk_t, p_i1, sx_a)?;
+        dims.gemv_xu(&cache.kinf_t, r_i, sx_b)?;
         matlib::add_into(&q[i * nx..(i + 1) * nx], &*sx_a, p_i)?;
         matlib::sub_assign(p_i, &*sx_b)?;
     }
@@ -187,12 +243,12 @@ fn forward<T: Scalar, D: DimsTag>(
         let x_i1 = &mut x_hi[..nx];
         let u_i = &mut u[i * nu..(i + 1) * nu];
         // u[i] = −K∞ x[i] − d[i]
-        matlib::gemv_into(kinf, x_i, su_a)?;
+        dims.gemv_ux(kinf, x_i, su_a)?;
         matlib::neg_into(&*su_a, u_i)?;
         matlib::sub_assign(u_i, &d[i * nu..(i + 1) * nu])?;
         // x[i+1] = A x[i] + B u[i]
-        matlib::gemv_into(a, x_i, sx_a)?;
-        matlib::gemv_into(b, &*u_i, sx_b)?;
+        dims.gemv_xx(a, x_i, sx_a)?;
+        dims.gemv_xu(b, &*u_i, sx_b)?;
         matlib::add_into(&*sx_a, &*sx_b, x_i1)?;
     }
     Ok(())
@@ -304,7 +360,7 @@ fn update_linear_cost<T: Scalar, D: DimsTag>(
     }
     // p[N−1] = −P∞ xref[N−1] − ρ (vnew[N−1] − g[N−1])
     let last = horizon - 1;
-    matlib::gemv_into(pinf, &xref[last * nx..(last + 1) * nx], sx_a)?;
+    dims.gemv_xx(pinf, &xref[last * nx..(last + 1) * nx], sx_a)?;
     let p_last = &mut p[last * nx..(last + 1) * nx];
     let vnew_l = &vnew[last * nx..(last + 1) * nx];
     let g_l = &g[last * nx..(last + 1) * nx];

@@ -1,5 +1,8 @@
 //! Umbrella crate re-exporting the workspace's public API, plus the
 //! integration tests and examples that span crates.
+
+#![forbid(unsafe_code)]
+
 pub use matlib;
 pub use soc_area;
 pub use soc_backend;
